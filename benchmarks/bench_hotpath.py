@@ -54,7 +54,7 @@ from repro.engines import create_engine
 from repro.graph.interning import NullInterner
 from repro.graph.elements import Update, delete
 from repro.matching.plans import bindings_to_dicts
-from repro.matching.relation import Relation, Row, build_row_index
+from repro.matching.relation import Relation, Row
 from repro.matching.views import EDGE_VIEW_SCHEMA, EdgeViewRegistry
 from repro.query.generator import QueryWorkload
 from repro.streams import StreamRunner
@@ -107,6 +107,16 @@ PAIR_NOISE_TOLERANCE = 1.5
 # ----------------------------------------------------------------------
 # Legacy engines: the seed hot path, byte for byte
 # ----------------------------------------------------------------------
+def build_row_index(rows, key_positions) -> Dict[Tuple, List[Row]]:
+    """The seed's hash-join build phase (removed from ``src/``): bucket
+    ``rows`` by their key columns, from scratch, on every call."""
+    index: Dict[Tuple, List[Row]] = {}
+    for row in rows:
+        key = tuple(row[i] for i in key_positions)
+        index.setdefault(key, []).append(row)
+    return index
+
+
 class _SeedJoinCache:
     """Local stand-in for the seed's ``JoinCache`` (removed from ``src/``).
 
@@ -145,6 +155,7 @@ class _SeedJoinCache:
                 entry[2] = relation.log_length
             return index
         index = build_row_index(relation.rows, key_positions)
+        relation.track_deltas()  # this cache is a reader of the relation's log
         self._entries[cache_key] = [
             index, relation.version, relation.log_length, relation.epoch
         ]
@@ -176,7 +187,6 @@ class LegacyTRICEngine(TRICEngine):
 
     def __init__(self, *, cache: bool = False, **kwargs) -> None:
         super().__init__(**kwargs)
-        self.legacy_cache_enabled = cache
         self._join_cache = _SeedJoinCache() if cache else None
         self._views = _LegacyEdgeViewRegistry(interner=NullInterner())
 
@@ -228,7 +238,7 @@ class LegacyTRICEngine(TRICEngine):
 
     def _propagate_removals(self, node, removed, affected_queries):
         removed_prefixes = set(removed)
-        for child in node.children:
+        for child in node.children.values():
             child_view = child.view
             if not child_view:
                 continue
@@ -240,28 +250,24 @@ class LegacyTRICEngine(TRICEngine):
                     dead.extend(index.get(prefix, ()))
             else:
                 dead = [row for row in child_view.rows if row[:-1] in removed_prefixes]
-            child_removed = child_view.remove_all(dead)
+            child_removed = child.remove_rows(dead)
             if not child_removed:
                 continue
             affected_queries.update(query_id for query_id, _ in child.query_paths)
             self._propagate_removals(child, child_removed, affected_queries)
 
+    # The seed joined per-call binding relations (``bindings_from_rows`` +
+    # ``natural_join``); the per-query cached copies its ``+`` tier kept on
+    # top are gone from ``src/``, so both legacy tiers join from the rows.
     def _evaluate_affected(self, affected):
         matched = set()
-        for query_id, deltas in affected.items():
-            plan = self._plans[query_id]
-            terminals = self._terminals[query_id]
-            full_rows = [terminal.view.rows for terminal in terminals]
-            binding_relations = (
-                self._refresh_binding_relations(query_id)
-                if self.legacy_cache_enabled
-                else None
-            )
-            new_bindings = plan.evaluate_delta(
-                deltas,
-                full_rows,
-                binding_relations=binding_relations,
-                injective=self.injective,
+        for query_id, path_deltas in affected.items():
+            deltas: Dict[int, List[Row]] = {}
+            for path_index, rows in path_deltas:
+                deltas.setdefault(path_index, []).extend(rows)
+            full_rows = [relation.rows for relation in self._binding_relations[query_id]]
+            new_bindings = self._plans[query_id].evaluate_delta(
+                deltas, full_rows, injective=self.injective
             )
             if new_bindings:
                 matched.add(query_id)
@@ -269,19 +275,8 @@ class LegacyTRICEngine(TRICEngine):
 
     def matches_of(self, query_id):
         self._require_known(query_id)
-        plan = self._plans[query_id]
-        terminals = self._terminals[query_id]
-        full_rows = [terminal.view.rows for terminal in terminals]
-        binding_relations = (
-            self._refresh_binding_relations(query_id)
-            if self.legacy_cache_enabled
-            else None
-        )
-        bindings = plan.evaluate_full(
-            full_rows,
-            binding_relations=binding_relations,
-            injective=self.injective,
-        )
+        full_rows = [relation.rows for relation in self._binding_relations[query_id]]
+        bindings = self._plans[query_id].evaluate_full(full_rows, injective=self.injective)
         return bindings_to_dicts(bindings)
 
     def has_matches(self, query_id):

@@ -151,7 +151,8 @@ class MaintainedAnswerSource(NamedTuple):
     """A maintained answer relation exposed for exact delta consumption.
 
     ``relation`` is a live :class:`~repro.matching.relation.Relation` (its
-    rows are the query's current answers and its *signed delta log* records
+    rows are the query's current answers and its *signed delta log* —
+    switched on by the engine before the relation is handed out — records
     every answer appearance/disappearance in order) and ``interner`` is the
     vertex encoding needed to decode its rows back to identifier strings.
     Consumers (the pub/sub layer's delta tracker) read
@@ -397,10 +398,11 @@ class ContinuousEngine(abc.ABC):
         """Full engine state as a self-verifying snapshot blob.
 
         The blob covers everything the engine owns — the interner table,
-        the counted relations with their signed delta logs, the maintained
-        indexes, the materialised answers, and the registered query
-        database — so :meth:`restore` yields an engine behaviourally
-        byte-identical to this one for any subsequent stream.  See
+        the views with their maintained indexes, the signed delta logs of
+        the relations that have a reader, the materialised answers, and
+        the registered query database — so :meth:`restore` yields an
+        engine behaviourally byte-identical to this one for any
+        subsequent stream.  See
         :mod:`repro.persistence` for the envelope format and the
         write-ahead journal that pairs with it.
         """

@@ -11,8 +11,12 @@ This module implements the paper's primary contribution (Section 4):
   a batch of one) is matched against the (at most four) generalised keys
   each edge satisfies, the affected trie nodes are located through
   ``edgeInd``, one positive delta per affected node per batch is joined down
-  the tries (pruning sub-tries whose delta dies), and finally the affected
-  queries' covering-path views are joined to produce the new answers.
+  the tries (pruning sub-tries whose delta dies), and finally the new rows
+  of each affected query's terminal views are extended across its other
+  terminal views to decide whether the query gained an answer.  The
+  terminal views *are* the per-path binding relations: queries probe the
+  shared views' maintained indexes directly and keep no per-query copy of
+  their rows (see :meth:`~repro.core.trie.TrieNode.binding_relation`).
   Deletions flow through the same pipeline with the sign flipped: the
   retracted base tuples become *negative* deltas that propagate down the
   tries row by row, so a deletion costs one pruned traversal instead of a
@@ -26,9 +30,10 @@ This module implements the paper's primary contribution (Section 4):
 same delta pipeline plus a *maintained answer relation* per polled query
 (:class:`~repro.matching.answers.MaterializedAnswers`).  Once a query has
 been polled through ``matches_of``, its answers are kept patched in place
-by the binding deltas the pipeline produces anyway, so subsequent polls are
-an O(answer-set) decode (no cross-path join) and deletion invalidation of
-that query is an O(1) emptiness check.
+from the signed delta logs of its terminal views (recorded only for views
+that have such a reader), so subsequent polls are an O(answer-set) decode
+(no cross-path join) and deletion invalidation of that query is an O(1)
+emptiness check.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from ..graph.elements import Edge
 from ..graph.interning import VertexInterner
-from ..matching.answers import BindingDelta, MaterializedAnswers
+from ..matching.answers import MaterializedAnswers
 from ..matching.plans import QueryEvaluationPlan, bindings_to_dicts
-from ..matching.relation import CountedRelation, Relation, Row, extend_path_rows
+from ..matching.relation import Relation, Row, extend_path_rows
 from ..matching.views import EdgeViewRegistry
 from ..query.pattern import QueryGraphPattern
 from .engine import BatchReport, ContinuousEngine, MaintainedAnswerSource
@@ -47,8 +52,9 @@ from .trie import TrieForest, TrieNode
 
 __all__ = ["TRICEngine", "TRICPlusEngine"]
 
-# affected[(query id)][path index] -> set of new positional rows at the terminal node
-_AffectedMap = Dict[str, Dict[int, Set[Row]]]
+# affected[query id] -> (path index, rows a terminal node gained) pairs; the
+# row lists are the nodes' own deltas, shared by every query on the node.
+_AffectedMap = Dict[str, List[Tuple[int, Sequence[Row]]]]
 
 
 class TRICEngine(ContinuousEngine):
@@ -61,8 +67,8 @@ class TRICEngine(ContinuousEngine):
         maintained, counted answer relation for every query that has been
         polled through :meth:`matches_of`
         (:class:`~repro.matching.answers.MaterializedAnswers`): the answer
-        set is patched in place by the binding deltas the pipeline already
-        produces, later polls are an O(answer-set) decode with no
+        set is patched in place from its terminal views' delta logs,
+        later polls are an O(answer-set) decode with no
         cross-path join, and deletion invalidation of a polled query is an
         O(1) emptiness check.  Queries that are never polled pay nothing —
         their deletion re-checks use the same ``evaluate_full(limit=1)``
@@ -103,16 +109,10 @@ class TRICEngine(ContinuousEngine):
         self._forest = TrieForest()
         self._views = EdgeViewRegistry(interner=interner)
         self._plans: Dict[str, QueryEvaluationPlan] = {}
-        self._terminals: Dict[str, List[TrieNode]] = {}
-        # query id -> (terminal views, counted binding relations, log
-        # positions, epochs) as parallel per-covering-path lists.  Each
-        # relation is patched by replaying its terminal view's signed delta
-        # log — support counts absorb both appended and removed positional
-        # rows — and its identity stays stable so its maintained indexes
-        # keep being reused by the delta joins.
-        self._binding_cache: Dict[
-            str, Tuple[List[Relation], List[CountedRelation], List[int], List[int]]
-        ] = {}
+        # queryInd: query id -> per covering path, the positional relation
+        # of its terminal node (the node's view, or the node's filtered view
+        # for a path that repeats a variable).  Shared objects, never copies.
+        self._binding_relations: Dict[str, List[Relation]] = {}
         # query id -> maintained answer relation, created lazily on the
         # first poll of that query (``None`` when materialisation is off).
         self._answers: Optional[Dict[str, MaterializedAnswers]] = (
@@ -126,15 +126,15 @@ class TRICEngine(ContinuousEngine):
         plan = QueryEvaluationPlan(pattern, interner=self._views.interner)
         query_id = pattern.query_id
         self._plans[query_id] = plan
-        terminals: List[TrieNode] = []
+        relations: List[Relation] = []
         for path_index, path_plan in enumerate(plan.path_plans):
             keys = path_plan.key_sequence
             self._views.register_all(keys)
             terminal = self._forest.index_path(keys)
             terminal.query_paths.append((query_id, path_index))
-            terminals.append(terminal)
             self._backfill_chain(terminal)
-        self._terminals[query_id] = terminals
+            relations.append(terminal.binding_relation(path_plan.equality_positions))
+        self._binding_relations[query_id] = relations
 
     def _backfill_chain(self, terminal: TrieNode) -> None:
         """Recompute the views along a freshly indexed path.
@@ -157,7 +157,7 @@ class TRICEngine(ContinuousEngine):
             else:
                 rows = set(self._extend_rows(node.parent.view.rows, base))
             if rows != node.view.rows:
-                node.view.replace_rows(rows)
+                node.replace_rows(rows)
 
     # ------------------------------------------------------------------
     # Answering phase — additions (paper Figs. 8 and 10)
@@ -198,7 +198,7 @@ class TRICEngine(ContinuousEngine):
                 delta = list(new_rows)
             else:
                 delta = self._delta_against_parent(node, new_rows)
-            added = node.view.add_all(delta)
+            added = node.add_rows(delta)
             if not added:
                 continue
             self._record_terminal(node, added, affected)
@@ -227,14 +227,14 @@ class TRICEngine(ContinuousEngine):
 
     def _propagate(self, node: TrieNode, delta_rows: Sequence[Row], affected: _AffectedMap) -> None:
         """Push a delta down the sub-trie, pruning branches whose delta dies."""
-        for child in node.children:
+        for child in node.children.values():
             base = self._views.get(child.key)
             if base is None or not base:
                 continue
             extended = self._extend_rows(delta_rows, base)
             if not extended:
                 continue
-            added = child.view.add_all(extended)
+            added = child.add_rows(extended)
             if not added:
                 continue
             self._record_terminal(child, added, affected)
@@ -246,23 +246,20 @@ class TRICEngine(ContinuousEngine):
 
     @staticmethod
     def _record_terminal(node: TrieNode, added: Sequence[Row], affected: _AffectedMap) -> None:
-        if not node.query_paths:
-            return
         for query_id, path_index in node.query_paths:
-            affected.setdefault(query_id, {}).setdefault(path_index, set()).update(added)
+            affected.setdefault(query_id, []).append((path_index, added))
 
     def _evaluate_affected(self, affected: _AffectedMap) -> FrozenSet[str]:
         matched: Set[str] = set()
-        for query_id, deltas in affected.items():
-            plan = self._plans[query_id]
-            # Notifications only need existence: extend each delta binding
-            # across the other paths' maintained binding relations and stop
-            # at the first complete answer (O(delta) probes, no relation
-            # materialisation).
-            if plan.has_new_binding(
-                deltas,
-                self._refresh_binding_relations(query_id),
-                injective=self.injective,
+        for query_id, path_deltas in affected.items():
+            relations = self._binding_relations[query_id]
+            # A live maintainer is fed inside the tick that changed its views.
+            self._live_maintainer(query_id, relations)
+            # Notifications only need existence: extend each new terminal
+            # row across the other paths' views and stop at the first
+            # complete answer (O(delta) probes, no relation materialisation).
+            if self._plans[query_id].has_new_binding(
+                path_deltas, relations, injective=self.injective
             ):
                 matched.add(query_id)
         return frozenset(matched)
@@ -280,8 +277,8 @@ class TRICEngine(ContinuousEngine):
         the sign flipped: the base tuples retracted from the views become
         negative deltas at the directly affected trie nodes, and prefix rows
         that die propagate their deaths down the sub-tries (pruning branches
-        whose negative delta dies).  Caches are patched through the views'
-        delta logs, never cleared, and the per-query invalidation re-check
+        whose negative delta dies).  The views' maintained indexes are
+        patched in place, never rebuilt, and the per-query invalidation re-check
         is an existence probe (:meth:`has_matches`), never a full answer
         materialisation.
 
@@ -303,7 +300,7 @@ class TRICEngine(ContinuousEngine):
         # directly and through its ancestor sees its view already pruned.
         for node in sorted(affected_nodes.values(), key=lambda n: n.depth):
             dead = self._direct_dead_rows(node, removed_by_key[node.key])
-            removed = node.view.remove_all(dead)
+            removed = node.remove_rows(dead)
             if not removed:
                 continue
             affected_queries.update(query_id for query_id, _ in node.query_paths)
@@ -340,7 +337,7 @@ class TRICEngine(ContinuousEngine):
         bucket per removed prefix.
         """
         removed_prefixes = set(removed)
-        for child in node.children:
+        for child in node.children.values():
             child_view = child.view
             if not child_view:
                 continue
@@ -348,7 +345,7 @@ class TRICEngine(ContinuousEngine):
             dead: List[Row] = []
             for prefix in removed_prefixes:
                 dead.extend(child_view.probe(prefix_positions, prefix))
-            child_removed = child_view.remove_all(dead)
+            child_removed = child.remove_rows(dead)
             if not child_removed:
                 continue
             affected_queries.update(query_id for query_id, _ in child.query_paths)
@@ -363,19 +360,18 @@ class TRICEngine(ContinuousEngine):
         With answer materialisation on, the result is decoded straight from
         the query's maintained answer relation (created on the first poll,
         patched by the delta pipeline from then on) — no cross-path join
-        runs on this call path.  The base engine joins the maintained
-        per-path binding relations on demand instead; so does a
-        materialising engine for a query whose budgeted rebuild went over
-        its ``answer_row_cap``.
+        runs on this call path.  The base engine enumerates the answers on
+        demand by backtracking through the terminal views' maintained
+        indexes (O(answers)); so does a materialising engine for a query
+        whose budgeted rebuild went over its ``answer_row_cap``.
         """
         self._require_known(query_id)
         if self._answers is not None:
             relation = self._materialized_answers(query_id)
             if relation is not None:
                 return bindings_to_dicts(relation, self._views.interner)
-        plan = self._plans[query_id]
-        bindings = plan.evaluate_full(
-            binding_relations=self._refresh_binding_relations(query_id),
+        bindings = self._plans[query_id].evaluate_full(
+            binding_relations=self._binding_relations[query_id],
             injective=self.injective,
         )
         return bindings_to_dicts(bindings, self._views.interner)
@@ -387,32 +383,41 @@ class TRICEngine(ContinuousEngine):
         from its patched emptiness; every other query — including one
         whose maintainer went stale through a wholesale view change, whose
         rebuild stays deferred to the next poll — runs the existence-mode
-        ``evaluate_full(limit=1)`` backtracking search over its maintained
-        binding relations, which stops at the first surviving witness.
+        ``evaluate_full(limit=1)`` backtracking search over its terminal
+        views, which stops at the first surviving witness.
         This is what deletion-time invalidation re-checks call, so neither
         path ever materialises a full answer set.
         """
         self._require_known(query_id)
-        relations = self._refresh_binding_relations(query_id)
-        if self._answers is not None:
-            maintainer = self._answers.get(query_id)
-            if maintainer is not None and not maintainer.stale:
-                return bool(maintainer)
-        plan = self._plans[query_id]
-        witness = plan.evaluate_full(
-            binding_relations=relations,
-            injective=self.injective,
-            limit=1,
+        relations = self._binding_relations[query_id]
+        maintainer = self._live_maintainer(query_id, relations)
+        if maintainer is not None:
+            return bool(maintainer)
+        witness = self._plans[query_id].evaluate_full(
+            binding_relations=relations, injective=self.injective, limit=1
         )
         return bool(witness)
 
-    def _materialized_answers(self, query_id: str) -> Optional[CountedRelation]:
+    def _live_maintainer(
+        self, query_id: str, relations: Sequence[Relation]
+    ) -> Optional[MaterializedAnswers]:
+        """The query's maintainer, synchronised — or ``None`` when it has
+        none or went stale (rebuilds stay deferred to the next poll)."""
+        if self._answers is None:
+            return None
+        maintainer = self._answers.get(query_id)
+        if maintainer is None:
+            return None
+        maintainer.sync(relations)
+        return None if maintainer.stale else maintainer
+
+    def _materialized_answers(self, query_id: str) -> Optional[Relation]:
         """The query's maintained answer relation, created/refreshed lazily.
 
         Returns ``None`` when the query's budgeted rebuild exceeded
         ``answer_row_cap`` — the caller then spills to the on-demand
         evaluation paths.  An over-budget maintainer is not retried until
-        a wholesale binding-relation change marks it stale again.
+        a wholesale view change marks it stale again.
         """
         assert self._answers is not None
         maintainer = self._answers.get(query_id)
@@ -421,10 +426,8 @@ class TRICEngine(ContinuousEngine):
                 self._plans[query_id], injective=self.injective
             )
             self._answers[query_id] = maintainer
-        # Refreshing the binding relations feeds any pending binding deltas
-        # to a live maintainer (see _refresh_binding_relations); a stale or
-        # freshly created maintainer rebuilds from the refreshed relations.
-        relations = self._refresh_binding_relations(query_id)
+        relations = self._binding_relations[query_id]
+        maintainer.sync(relations)
         if maintainer.stale:
             if maintainer.over_budget:
                 return None
@@ -447,69 +450,8 @@ class TRICEngine(ContinuousEngine):
         relation = self._materialized_answers(query_id)
         if relation is None:
             return None
+        relation.track_deltas()
         return MaintainedAnswerSource(relation, self._views.interner)
-
-    # ------------------------------------------------------------------
-    # Maintained per-path binding relations (counting-based projection)
-    # ------------------------------------------------------------------
-    def _refresh_binding_relations(self, query_id: str) -> List[CountedRelation]:
-        state = self._binding_cache.get(query_id)
-        plan = self._plans[query_id]
-        if state is None:
-            views = [terminal.view for terminal in self._terminals[query_id]]
-            relations = [
-                path_plan.counted_bindings_from_rows(view.rows)
-                for path_plan, view in zip(plan.path_plans, views)
-            ]
-            positions = [view.log_length for view in views]
-            epochs = [view.epoch for view in views]
-            self._binding_cache[query_id] = (views, relations, positions, epochs)
-            return relations
-        views, relations, positions, epochs = state
-        # A live maintained answer relation is kept in lockstep: path i's
-        # binding-visibility deltas are joined against the other paths'
-        # relations *between* patching path i and patching path i+1, so
-        # paths < i are seen at their new state and paths > i at their old
-        # state — the sequential inclusion-exclusion order under which
-        # counted multi-way join maintenance is exact.
-        maintainer = self._answers.get(query_id) if self._answers is not None else None
-        for index, view in enumerate(views):
-            log_length = view.log_length
-            if epochs[index] != view.epoch:
-                # Wholesale view replacement (backfill of a newly indexed
-                # query sharing this terminal, or delta-log compaction):
-                # recompute this path's binding relation.
-                path_plan = plan.path_plans[index]
-                relations[index] = path_plan.counted_bindings_from_rows(view.rows)
-                positions[index] = log_length
-                epochs[index] = view.epoch
-                if maintainer is not None:
-                    maintainer.mark_stale()
-            elif positions[index] != log_length:
-                # Replay the terminal view's signed delta log: appended
-                # positional rows add support to their binding, removed rows
-                # retract it, and the binding disappears only when its last
-                # supporting row dies (counting maintenance).  The relation
-                # object stays stable across both signs, so its maintained
-                # indexes are patched, never rebuilt.
-                path_plan = plan.path_plans[index]
-                cached = relations[index]
-                feed = maintainer is not None and not maintainer.stale
-                changes: List[BindingDelta] = []
-                for row, sign in view.deltas_since(positions[index]):
-                    binding = path_plan.binding_of_row(row)
-                    if binding is None:
-                        continue
-                    if sign > 0:
-                        if cached.add(binding) and feed:
-                            changes.append((binding, 1))
-                    else:
-                        if cached.remove(binding) and feed:
-                            changes.append((binding, -1))
-                positions[index] = log_length
-                if changes:
-                    maintainer.apply_binding_deltas(index, changes, relations)
-        return relations
 
     # ------------------------------------------------------------------
     # Introspection used by tests and reports

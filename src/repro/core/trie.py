@@ -5,26 +5,33 @@ trie indexes covering paths that start with the same generalised edge key;
 paths sharing a prefix share the corresponding chain of trie nodes, and every
 node owns the materialized view of its prefix — one relation with a column
 per path position.  Sharing the node therefore shares both the *structure*
-and the *materialization* between queries.
+and the *materialization* between queries — including the maintained
+indexes the queries probe: a terminal node's view *is* the binding relation
+of every covering path that ends there (see :meth:`TrieNode.binding_relation`).
 
 The forest also maintains the paper's auxiliary indexes:
 
 * ``rootInd``  — first edge key -> trie root (:attr:`TrieForest.roots`),
-* ``edgeInd``  — edge key -> tries containing it (:attr:`TrieForest.edge_index`),
-* ``queryInd`` — kept by the engine: query id -> terminal node per path.
+* ``edgeInd``  — edge key -> the trie nodes indexing it, across all tries
+  (:attr:`TrieForest.edge_index`, what the per-tick probe reads),
+* ``queryInd`` — kept by the engine: query id -> per covering path, the
+  binding relation of its terminal node.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from ..matching.relation import Relation
+from ..matching.relation import Relation, Row, rows_with_equal_positions
 from ..query.terms import EdgeKey
 
 __all__ = ["TrieNode", "Trie", "TrieForest"]
 
 _node_ids = itertools.count()
+
+#: ``PathPlan.equality_positions`` of a covering path with repeated variables.
+EqualityPositions = Tuple[Tuple[int, int], ...]
 
 
 def _prefix_schema(depth: int) -> Tuple[str, ...]:
@@ -35,15 +42,28 @@ def _prefix_schema(depth: int) -> Tuple[str, ...]:
 class TrieNode:
     """One trie node: a generalised edge key plus the view of its prefix path."""
 
-    __slots__ = ("node_id", "key", "parent", "children", "depth", "view", "query_paths")
+    __slots__ = (
+        "node_id",
+        "key",
+        "parent",
+        "children",
+        "depth",
+        "view",
+        "filtered_views",
+        "query_paths",
+    )
 
     def __init__(self, key: EdgeKey, parent: "TrieNode | None") -> None:
         self.node_id = next(_node_ids)
         self.key = key
         self.parent = parent
-        self.children: List[TrieNode] = []
+        #: Child nodes by the edge key they index.
+        self.children: Dict[EdgeKey, TrieNode] = {}
         self.depth = 1 if parent is None else parent.depth + 1
         self.view = Relation(_prefix_schema(self.depth))
+        #: Equality signature -> the view's rows satisfying it, for covering
+        #: paths that repeat a variable (see :meth:`binding_relation`).
+        self.filtered_views: Dict[EqualityPositions, Relation] = {}
         #: (query id, path index) pairs whose covering path terminates here.
         self.query_paths: List[Tuple[str, int]] = []
 
@@ -54,19 +74,59 @@ class TrieNode:
 
     def child_with_key(self, key: EdgeKey) -> "TrieNode | None":
         """Return the child indexing ``key`` or ``None``."""
-        for child in self.children:
-            if child.key == key:
-                return child
-        return None
+        return self.children.get(key)
 
     def add_child(self, key: EdgeKey) -> "TrieNode":
         """Create (or reuse) the child indexing ``key``."""
-        existing = self.child_with_key(key)
-        if existing is not None:
-            return existing
-        child = TrieNode(key, self)
-        self.children.append(child)
+        child = self.children.get(key)
+        if child is None:
+            child = self.children[key] = TrieNode(key, self)
         return child
+
+    # ------------------------------------------------------------------
+    # The view as a binding relation
+    # ------------------------------------------------------------------
+    def binding_relation(self, equality_positions: EqualityPositions) -> Relation:
+        """The positional relation a covering path ending here is probed through.
+
+        Rows of the view and variable bindings of the path correspond one
+        to one (literal positions are constant across the view, repeated
+        variable positions equal their first occurrence), so no projected
+        copy exists: a path without repeated variables reads the view
+        itself, and a path with ``equality_positions`` reads the node's
+        filtered relation for that signature — created on first request,
+        maintained by the node's own mutators from then on, and shared by
+        every query with the same signature on this node.
+        """
+        if not equality_positions:
+            return self.view
+        relation = self.filtered_views.get(equality_positions)
+        if relation is None:
+            relation = self.view.select_positions_equal(equality_positions)
+            self.filtered_views[equality_positions] = relation
+        return relation
+
+    def add_rows(self, rows: Iterable[Row]) -> List[Row]:
+        """Add ``rows`` to the view; return the genuinely new ones."""
+        added = self.view.add_all(rows)
+        if added and self.filtered_views:
+            for equality, relation in self.filtered_views.items():
+                relation.add_all(rows_with_equal_positions(added, equality))
+        return added
+
+    def remove_rows(self, rows: Iterable[Row]) -> List[Row]:
+        """Remove ``rows`` from the view; return the ones actually removed."""
+        removed = self.view.remove_all(rows)
+        if removed and self.filtered_views:
+            for equality, relation in self.filtered_views.items():
+                relation.remove_all(rows_with_equal_positions(removed, equality))
+        return removed
+
+    def replace_rows(self, rows: Set[Row]) -> None:
+        """Replace the view wholesale (backfill): an epoch bump for readers."""
+        self.view.replace_rows(rows)
+        for equality, relation in self.filtered_views.items():
+            relation.replace_rows(rows_with_equal_positions(rows, equality))
 
     def descendants(self) -> Iterator["TrieNode"]:
         """Iterate over this node and every node below it (pre-order)."""
@@ -74,7 +134,7 @@ class TrieNode:
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(node.children)
+            stack.extend(node.children.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -88,7 +148,6 @@ class Trie:
 
     def __init__(self, root_key: EdgeKey) -> None:
         self.root = TrieNode(root_key, None)
-        self._nodes_by_key: Dict[EdgeKey, List[TrieNode]] = {root_key: [self.root]}
 
     @property
     def root_key(self) -> EdgeKey:
@@ -105,20 +164,8 @@ class Trie:
             raise ValueError("path does not start with this trie's root key")
         node = self.root
         for key in keys[1:]:
-            child = node.child_with_key(key)
-            if child is None:
-                child = node.add_child(key)
-                self._nodes_by_key.setdefault(key, []).append(child)
-            node = child
+            node = node.add_child(key)
         return node
-
-    def nodes_with_key(self, key: EdgeKey) -> List[TrieNode]:
-        """All nodes of the trie indexing ``key`` (any depth, any branch)."""
-        return list(self._nodes_by_key.get(key, ()))
-
-    def contains_key(self, key: EdgeKey) -> bool:
-        """``True`` when some node of the trie indexes ``key``."""
-        return key in self._nodes_by_key
 
     def nodes(self) -> Iterator[TrieNode]:
         """Iterate over every node of the trie."""
@@ -138,8 +185,8 @@ class TrieForest:
     def __init__(self) -> None:
         #: rootInd: first edge key of a path -> its trie.
         self.roots: Dict[EdgeKey, Trie] = {}
-        #: edgeInd: edge key -> tries containing the key anywhere.
-        self.edge_index: Dict[EdgeKey, Set[EdgeKey]] = {}
+        #: edgeInd: edge key -> every node indexing the key, in any trie.
+        self.edge_index: Dict[EdgeKey, Tuple[TrieNode, ...]] = {}
 
     def index_path(self, keys: Sequence[EdgeKey]) -> TrieNode:
         """Index one covering path (as generalised keys); return terminal node."""
@@ -151,21 +198,20 @@ class TrieForest:
             trie = Trie(root_key)
             self.roots[root_key] = trie
         terminal = trie.insert_path(keys)
-        for key in keys:
-            self.edge_index.setdefault(key, set()).add(root_key)
+        # New nodes form a suffix of the chain: an indexed node was indexed
+        # together with all of its ancestors.
+        node: TrieNode | None = terminal
+        while node is not None:
+            indexed = self.edge_index.get(node.key, ())
+            if node in indexed:
+                break
+            self.edge_index[node.key] = indexed + (node,)
+            node = node.parent
         return terminal
 
-    def tries_containing(self, key: EdgeKey) -> List[Trie]:
-        """Tries whose node set contains ``key`` (the paper's ``edgeInd`` probe)."""
-        root_keys = self.edge_index.get(key, ())
-        return [self.roots[root_key] for root_key in root_keys]
-
-    def nodes_with_key(self, key: EdgeKey) -> List[TrieNode]:
-        """Every trie node in the forest indexing ``key``."""
-        nodes: List[TrieNode] = []
-        for trie in self.tries_containing(key):
-            nodes.extend(trie.nodes_with_key(key))
-        return nodes
+    def nodes_with_key(self, key: EdgeKey) -> Tuple[TrieNode, ...]:
+        """Every trie node in the forest indexing ``key`` (the ``edgeInd`` probe)."""
+        return self.edge_index.get(key, ())
 
     def contains_key(self, key: EdgeKey) -> bool:
         """``True`` when any trie indexes ``key``."""

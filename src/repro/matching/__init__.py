@@ -3,15 +3,17 @@
 ``pydoc repro.matching`` is the reference for the whole layer:
 
 * :class:`Relation` / :class:`CountedRelation` — mutable tuple sets with
-  signed delta logs and *maintained indexes* (persistent hash buckets
-  patched by every mutation; see :meth:`Relation.ensure_index` and
-  :meth:`Relation.probe`).
+  *maintained indexes* (persistent hash buckets patched by every mutation;
+  see :meth:`Relation.ensure_index` and :meth:`Relation.probe`) and, once
+  a reader asked for it (:meth:`Relation.track_deltas`), a signed delta log.
 * :class:`EdgeViewRegistry` — the materialized base views of query edges
   and the interning boundary of the system.
 * :class:`QueryEvaluationPlan` / :class:`PathPlan` — per-query covering-path
   decomposition, delta evaluation, the witness-probe existence checks
   (:meth:`QueryEvaluationPlan.has_new_binding` and
-  ``evaluate_full(limit=1)``), and derivation enumeration.
+  ``evaluate_full(limit=1)``), and derivation enumeration — compiled in
+  positional coordinates, so they probe the paths' positional relations
+  (TRIC's shared trie views) directly.
 * :class:`MaterializedAnswers` / :class:`AnswerSetCache` — the maintained
   answer relations behind the ``+`` engines (TRIC+ / INV+ / INC+).
 """

@@ -12,15 +12,16 @@ invalidation of a polled query becomes an O(1) emptiness check.
 Two maintenance strategies live here, matching the two engine families:
 
 :class:`MaterializedAnswers`
-    Exact *counting-based* maintenance for engines with maintained per-path
-    binding relations (TRIC+).  The answer relation is a
-    :class:`~repro.matching.relation.CountedRelation` whose support counts
-    equal the number of derivations — combinations of one visible binding
-    per covering path — of each answer.  Positive and negative binding
-    deltas from the engine's delta pipeline are joined against the *other*
-    paths' binding relations (through their maintained indexes) and patch
-    the relation in place; an answer disappears exactly when its last
-    derivation dies.
+    Exact *counting-based* maintenance for engines whose per-path relations
+    are maintained (TRIC+: the shared trie views).  The answer relation is
+    a :class:`~repro.matching.relation.CountedRelation` whose support
+    counts equal the number of derivations — combinations of one row per
+    covering path — of each answer.  The maintainer is a *reader* of the
+    path relations' signed delta logs: at every synchronisation it folds
+    what each path logged since the last one into a net ``(added,
+    removed)`` pair, joins those rows against the *other* paths' relations
+    (through their maintained indexes) and patches the answer relation in
+    place; an answer disappears exactly when its last derivation dies.
 
 :class:`AnswerSetCache`
     Set-semantics caching for recompute-style engines without maintained
@@ -34,8 +35,8 @@ Two maintenance strategies live here, matching the two engine families:
 
 Both classes are deliberately engine-agnostic: they hold no references to
 views, tries, or inverted indexes, only to a
-:class:`~repro.matching.plans.QueryEvaluationPlan` and whatever relations
-the engine hands them.
+:class:`~repro.matching.plans.QueryEvaluationPlan` and log positions into
+whatever relations the engine hands them.
 
 Answer-ordering note: engines decode these relations through
 :func:`~repro.matching.plans.bindings_to_dicts`, which canonicalises the
@@ -45,17 +46,65 @@ fresh evaluation therefore yields a byte-identical ``matches_of`` list.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .plans import QueryEvaluationPlan
-from .relation import CountedRelation, Relation, Row
+from .relation import CountedRelation, Delta, Relation, Row
 
 __all__ = ["MaterializedAnswers", "AnswerSetCache"]
 
-#: A visibility change of one per-path binding: ``(binding, +1)`` when the
-#: binding became visible in its path's binding relation, ``(binding, -1)``
-#: when it disappeared (support dropped to zero).
-BindingDelta = Tuple[Row, int]
+
+def _net_delta(deltas: Iterable[Delta]) -> Tuple[Set[Row], Set[Row]]:
+    """Fold a slice of a signed delta log to its net ``(added, removed)`` rows.
+
+    A row's visibility alternates, so an appearance cancels a pending
+    disappearance of the same row and vice versa; what is left is disjoint
+    from (``added``) resp. contained in (``removed``) the old state.
+    """
+    added: Set[Row] = set()
+    removed: Set[Row] = set()
+    for row, sign in deltas:
+        if sign > 0:
+            if row in removed:
+                removed.discard(row)
+            else:
+                added.add(row)
+        elif row in added:
+            added.discard(row)
+        else:
+            removed.add(row)
+    return added, removed
+
+
+class _OldState:
+    """A path relation as it was before its pending net delta (read-only).
+
+    The relation itself is already at its new state — it is shared and
+    live — so the old state is reconstructed per probe: the current bucket
+    minus the rows that appeared, plus the rows that disappeared and match
+    the key.  Only built for paths that actually have a pending delta.
+    """
+
+    __slots__ = ("relation", "added", "removed")
+
+    def __init__(self, relation: Relation, added: Set[Row], removed: Set[Row]) -> None:
+        self.relation = relation
+        self.added = added
+        self.removed = removed
+
+    def probe(self, key_positions: Tuple[int, ...], key: Tuple) -> List[Row]:
+        added = self.added
+        bucket = [
+            row for row in self.relation.probe(key_positions, key) if row not in added
+        ]
+        for row in self.removed:
+            if all(row[position] == value for position, value in zip(key_positions, key)):
+                bucket.append(row)
+        return bucket
+
+    @property
+    def rows(self) -> Set[Row]:
+        return (self.relation.rows - self.added) | self.removed
 
 
 class MaterializedAnswers:
@@ -64,26 +113,35 @@ class MaterializedAnswers:
     The relation's rows are tuples over the plan's
     :attr:`~repro.matching.plans.QueryEvaluationPlan.variable_names`; the
     support count of a row is the number of *derivations* currently
-    producing it — combinations of one visible binding per covering path
+    producing it — combinations of one row per covering path relation
     that join to the answer (and pass the injectivity filter when the
     engine requires isomorphism semantics).
 
     Lifecycle
     ---------
     A maintainer starts *stale*.  :meth:`rebuild` computes the relation
-    from the query's current binding relations (one enumeration pass, one
-    ``add`` per derivation).  From then on the owning engine must feed
-    every binding-visibility change through :meth:`apply_binding_deltas`
-    *in the order the binding relations are patched*: when the engine
-    patches path ``i``, paths ``< i`` are already at their new state and
-    paths ``> i`` still at their old state, which is exactly the
-    sequential inclusion–exclusion order that makes counted multi-way
-    join maintenance exact.  Wholesale changes to any binding relation
-    (an epoch bump) must :meth:`mark_stale` the maintainer, which ignores
-    further deltas until the next :meth:`rebuild`.
+    from the query's current path relations (one enumeration pass, one
+    ``add`` per derivation), asks each of them to record its delta log and
+    remembers ``(epoch, log position)`` per path.  From then on
+    :meth:`sync` brings the answers up to date with whatever the paths
+    logged in between.  Because the path relations are shared and live,
+    *all* of them are already at their new state when :meth:`sync` runs;
+    the exact sequential inclusion–exclusion is restored on net deltas:
+    path ``i``'s rows are joined against paths ``< i`` as they are (new)
+    and paths ``> i`` through an :class:`_OldState` overlay.  A wholesale
+    change to any path relation (an epoch bump: backfill, log compaction)
+    marks the maintainer stale until the next :meth:`rebuild`.
     """
 
-    __slots__ = ("plan", "injective", "relation", "_stale", "_over_budget")
+    __slots__ = (
+        "plan",
+        "injective",
+        "relation",
+        "_stale",
+        "_over_budget",
+        "_epochs",
+        "_positions",
+    )
 
     def __init__(self, plan: QueryEvaluationPlan, *, injective: bool = False) -> None:
         self.plan = plan
@@ -91,6 +149,10 @@ class MaterializedAnswers:
         self.relation: CountedRelation = CountedRelation(plan.variable_names)
         self._stale = True
         self._over_budget = False
+        # Per covering path: epoch of its relation at the last rebuild
+        # attempt, and the log position the answers are current with.
+        self._epochs: Optional[List[int]] = None
+        self._positions: List[int] = []
 
     @property
     def stale(self) -> bool:
@@ -130,49 +192,65 @@ class MaterializedAnswers:
         first-poll latency on huge answer sets.  Returns ``True`` when the
         relation was (re)built.
         """
+        self._epochs = [relation.epoch for relation in binding_relations]
         relation = CountedRelation(self.plan.variable_names)
-        if all(rel.rows for rel in binding_relations):
-            for answer in self.plan.iter_derivations(
-                binding_relations, injective=self.injective
-            ):
-                relation.add(answer)
-                if row_cap is not None and len(relation) > row_cap:
-                    self._over_budget = True
-                    return False
+        for answer in self.plan.iter_derivations(
+            binding_relations, injective=self.injective
+        ):
+            relation.add(answer)
+            if row_cap is not None and len(relation) > row_cap:
+                self._over_budget = True
+                return False
+        for path_relation in binding_relations:
+            path_relation.track_deltas()
+        self._positions = [path_relation.log_length for path_relation in binding_relations]
         self.relation = relation
         self._stale = False
         self._over_budget = False
         return True
 
-    def apply_binding_deltas(
-        self,
-        path_index: int,
-        deltas: Iterable[BindingDelta],
-        binding_relations: Sequence[Relation],
-    ) -> None:
-        """Patch the relation with one path's binding-visibility deltas.
+    def sync(self, binding_relations: Sequence[Relation]) -> None:
+        """Patch the answers with what the path relations logged since the
+        last :meth:`sync` / :meth:`rebuild`.
 
-        ``deltas`` are the visibility changes of path ``path_index``'s
-        binding relation, in log order.  Each delta binding is extended
-        across the *other* paths' binding relations (at their current
-        state — see the class docstring for why that ordering is exact)
-        and every resulting derivation adds or retracts one unit of
-        support for its answer.  No-op while :attr:`stale`.
+        With nothing pending this is one epoch and one log-length
+        comparison per path.  Otherwise each path's log slice is folded to
+        a net delta and fed in path order — removals before additions, so
+        every intermediate state is the join of a consistent set of path
+        states and no support count ever dips below zero.  An epoch change
+        on any path marks the maintainer stale instead (which also lifts an
+        :attr:`over_budget` verdict: a wholesale change is the signal to
+        retry).
         """
-        if self._stale:
+        if self._epochs is None:
             return
-        relation = self.relation
-        plan = self.plan
-        for binding, sign in deltas:
-            derivations = plan.iter_delta_derivations(
-                path_index, binding, binding_relations, injective=self.injective
-            )
-            if sign > 0:
-                for answer in derivations:
-                    relation.add(answer)
-            else:
-                for answer in derivations:
-                    relation.remove(answer)
+        stale = self._stale
+        pending: Dict[int, Tuple[Set[Row], Set[Row]]] = {}
+        for index, relation in enumerate(binding_relations):
+            if relation.epoch != self._epochs[index]:
+                self.mark_stale()
+                return
+            if not stale and relation.log_length != self._positions[index]:
+                pending[index] = _net_delta(relation.deltas_since(self._positions[index]))
+                self._positions[index] = relation.log_length
+        if not pending:
+            return
+        sources: List[object] = list(binding_relations)
+        for index, (added, removed) in pending.items():
+            sources[index] = _OldState(binding_relations[index], added, removed)
+        answers = self.relation
+        iter_delta_derivations = self.plan.iter_delta_derivations
+        injective = self.injective
+        for index, (added, removed) in pending.items():
+            # Path ``index`` itself is never probed while its own rows are
+            # fed; later paths must see it at its new state.
+            sources[index] = binding_relations[index]
+            for row in removed:
+                for answer in iter_delta_derivations(index, row, sources, injective=injective):
+                    answers.remove(answer)
+            for row in added:
+                for answer in iter_delta_derivations(index, row, sources, injective=injective):
+                    answers.add(answer)
 
     def __len__(self) -> int:
         return len(self.relation)

@@ -1,11 +1,20 @@
 """Per-query evaluation plans shared by every engine.
 
 A query graph pattern is answered from its covering paths: each path yields a
-relation of *positional* rows (one column per path position), those rows are
-turned into *variable bindings* (within-path repeated-variable constraints
-applied, literal columns dropped), and the binding relations of all paths are
-joined on shared variable names (paper Section 4.1, "Materialization" and
-"Variable Handling").
+relation of *positional* rows (one column per path position), and the paths
+are joined on shared variable names (paper Section 4.1, "Materialization"
+and "Variable Handling").
+
+A positional row that satisfies the path's repeated-variable constraints
+*is* a variable binding, read through the path's
+:attr:`~PathPlan.variable_positions`: literal positions are constant across
+the relation (the literal is part of the generalised edge key) and repeated
+positions equal their first occurrence, so rows and bindings correspond one
+to one.  The backtracking programs below are therefore compiled in
+*positional* coordinates and probe the positional relations directly —
+for TRIC those are the shared trie views themselves, so every query on a
+terminal node probes the same maintained index and nothing is projected or
+copied per query.
 
 :class:`QueryEvaluationPlan` encapsulates that per-query logic so that TRIC,
 INV and INC only differ in *how* they produce the per-path positional
@@ -21,7 +30,7 @@ from ..graph.interning import VertexInterner
 from ..query.paths import CoveringPath, covering_paths
 from ..query.pattern import QueryGraphPattern
 from ..query.terms import EdgeKey, Variable
-from .relation import CountedRelation, Relation, Row, natural_join
+from .relation import Relation, Row, natural_join, rows_with_equal_positions
 
 __all__ = ["PathPlan", "QueryEvaluationPlan", "bindings_to_dicts"]
 
@@ -96,19 +105,12 @@ class PathPlan:
             result.version += 1
         return result
 
-    def counted_bindings_from_rows(self, rows: Iterable[Row]) -> CountedRelation:
-        """Like :meth:`bindings_from_rows` but with per-binding support counts.
-
-        Each positional row contributes one derivation to its binding, so
-        the relation can later absorb positional-row *removals* through the
-        counting algorithm instead of being rebuilt.
-        """
-        result = CountedRelation(self.variable_names)
-        for row in rows:
-            binding = self.binding_of_row(row)
-            if binding is not None:
-                result.add(binding)
-        return result
+    def positional_relation(self, rows: Iterable[Row]) -> Relation:
+        """``rows`` that satisfy the path's equality constraints, as a
+        positional relation the backtracking programs can probe."""
+        if self.equality_positions:
+            rows = rows_with_equal_positions(rows, self.equality_positions)
+        return Relation(self.schema, rows)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PathPlan(length={self.path.length}, vars={self.variable_names})"
@@ -150,6 +152,16 @@ class QueryEvaluationPlan:
             for key in set(plan.key_sequence):
                 positions = plan.positions_of_key(key)
                 self.key_occurrences.setdefault(key, []).append((path_index, positions))
+        # Slot of each variable in an assignment list (= its answer column).
+        slots = {name: slot for slot, name in enumerate(self.variable_names)}
+        #: Per path: ``(assignment slot, row position)`` of each of its variables.
+        self._path_columns: List[Tuple[Tuple[int, int], ...]] = [
+            tuple(
+                (slots[name], position)
+                for name, position in zip(plan.variable_names, plan.variable_positions)
+            )
+            for plan in self.path_plans
+        ]
         # affected path index (or None for the full-enumeration program) ->
         # probe program for the existence/enumeration machinery, built lazily.
         self._delta_programs: Dict[Optional[int], List[Tuple]] = {}
@@ -181,28 +193,31 @@ class QueryEvaluationPlan:
         injective: bool = False,
         limit: int | None = None,
     ) -> Relation:
-        """Join every path's rows into query-level bindings.
+        """Assemble query-level bindings from every covering path.
 
         Parameters
         ----------
         path_rows:
-            Positional rows of each covering path (in plan order).  May be
-            ``None`` when ``binding_relations`` supplies every path.
+            Positional rows of each covering path (in plan order) — what
+            the join-and-explore engines (INV, INC) materialise per call.
+            Without ``limit`` they are converted to binding relations and
+            hash-joined on shared variable names.
         binding_relations:
-            Pre-converted binding relations (engines with maintained
-            per-path state pass these so the relations' maintained indexes
-            are reused); entries set to ``None`` are converted from
-            ``path_rows`` on the fly.
+            Maintained positional relations of each covering path (in plan
+            order), every row satisfying its path's equality constraints —
+            TRIC's terminal views.  They are never copied or joined
+            wholesale: answers are enumerated by backtracking through
+            their maintained indexes (one derivation per answer, so the
+            cost is O(answers)).  Takes precedence over ``path_rows``.
         injective:
             Keep only bindings mapping distinct variables (and literals)
             to distinct vertices (isomorphism semantics).
         limit:
-            *Existence mode.*  When given, the full cross-path join is
-            skipped: bindings are enumerated by backtracking through the
-            binding relations' maintained indexes and the evaluation stops
-            as soon as ``limit`` distinct bindings exist.  ``limit=1`` is
-            the deletion-invalidation probe — "does any answer survive?" —
-            and costs O(first witness) instead of O(answer set).
+            *Existence mode.*  Stop as soon as ``limit`` distinct bindings
+            exist.  ``limit=1`` is the deletion-invalidation probe — "does
+            any answer survive?" — and costs O(first witness) instead of
+            O(answer set).  With ``path_rows`` the backtracking search
+            replaces the cross-path join.
 
         Returns
         -------
@@ -210,28 +225,34 @@ class QueryEvaluationPlan:
             Bindings over :attr:`variable_names` — the query's full answer
             relation, or its first ``limit`` bindings in existence mode.
         """
-        relations: List[Relation] = []
-        for index, plan in enumerate(self.path_plans):
-            prebuilt = binding_relations[index] if binding_relations else None
-            if prebuilt is not None:
-                relations.append(prebuilt)
-            else:
-                if path_rows is None:
-                    raise ValueError(
-                        "evaluate_full needs path_rows for paths without a "
-                        "prebuilt binding relation"
-                    )
-                relations.append(plan.bindings_from_rows(path_rows[index]))
-        if limit is not None:
-            return self._evaluate_limited(relations, injective, limit)
-        return self._join_bindings(relations, injective)
+        if binding_relations is None:
+            if path_rows is None:
+                raise ValueError("evaluate_full needs path_rows or binding_relations")
+            if limit is None:
+                relations = [
+                    plan.bindings_from_rows(rows)
+                    for plan, rows in zip(self.path_plans, path_rows)
+                ]
+                return self._join_bindings(relations, injective)
+            binding_relations = [
+                plan.positional_relation(rows)
+                for plan, rows in zip(self.path_plans, path_rows)
+            ]
+        result = Relation(self.variable_names)
+        if limit is not None and limit < 1:
+            return result
+        answers = result.rows
+        for answer in self.iter_derivations(binding_relations, injective=injective):
+            answers.add(answer)
+            if len(answers) == limit:
+                break
+        return result
 
     def evaluate_delta(
         self,
         delta_rows_by_path: Mapping[int, Iterable[Row]],
         full_path_rows: Sequence[Iterable[Row]],
         *,
-        binding_relations: Sequence[Relation] | None = None,
         injective: bool = False,
     ) -> Relation:
         """Bindings derivable only with the new (delta) rows of affected paths.
@@ -246,16 +267,12 @@ class QueryEvaluationPlan:
             delta_bindings = self.path_plans[affected_index].bindings_from_rows(delta_rows)
             if not delta_bindings:
                 continue
-            relations: List[Relation] = []
-            for index, plan in enumerate(self.path_plans):
-                if index == affected_index:
-                    relations.append(delta_bindings)
-                    continue
-                prebuilt = binding_relations[index] if binding_relations else None
-                if prebuilt is not None:
-                    relations.append(prebuilt)
-                else:
-                    relations.append(plan.bindings_from_rows(full_path_rows[index]))
+            relations = [
+                delta_bindings
+                if index == affected_index
+                else plan.bindings_from_rows(full_path_rows[index])
+                for index, plan in enumerate(self.path_plans)
+            ]
             joined = self._join_bindings(relations, injective)
             result.rows.update(joined.rows)
         if result.rows:
@@ -267,41 +284,43 @@ class QueryEvaluationPlan:
     # ------------------------------------------------------------------
     def has_new_binding(
         self,
-        delta_rows_by_path: Mapping[int, Iterable[Row]],
+        path_deltas: Iterable[Tuple[int, Iterable[Row]]],
         binding_relations: Sequence[Relation],
         *,
         injective: bool = False,
     ) -> bool:
-        """``True`` iff :meth:`evaluate_delta` would be non-empty — without
-        materialising it.
+        """``True`` iff the delta rows complete at least one answer —
+        without materialising any.
 
         Per-update notifications only need to know *whether* a query gained
-        an answer.  Instead of building delta relations and joining them
-        into full result sets, each delta binding is extended across the
-        other covering paths by backtracking through their binding
-        relations' maintained indexes, stopping at the first complete
-        binding.  Every probe is O(bucket) and the whole check is
-        proportional to the delta, not to the query's answer set.
+        an answer.  ``path_deltas`` are ``(path index, new positional rows)``
+        pairs — the rows a batch added to that path's relation, handed over
+        by reference (rows of one delta are distinct, nothing is copied or
+        de-duplicated here).  Each row is extended across the other
+        covering paths by backtracking through their relations' maintained
+        indexes, stopping at the first complete binding.  Every probe is
+        O(bucket) and the whole check is proportional to the delta, not to
+        the query's answer set.
 
-        ``binding_relations`` must hold the *full* (already refreshed)
-        binding relation of every covering path, in plan order.
+        ``binding_relations`` must hold the current positional relation of
+        every covering path, in plan order (see :meth:`evaluate_full`).
         """
         for relation in binding_relations:
-            if not relation.rows:
+            if not relation:
                 # Some covering path has no bindings at all: no complete
                 # answer can exist, with or without the delta.
                 return False
-        for affected_index, delta_rows in delta_rows_by_path.items():
+        assignment: List[object] = [None] * len(self.variable_names)
+        for affected_index, delta_rows in path_deltas:
             path_plan = self.path_plans[affected_index]
             program = self._delta_program(affected_index)
-            names = path_plan.variable_names
-            seen: Set[Row] = set()
+            equality = path_plan.equality_positions
+            bound = self._path_columns[affected_index]
+            if equality:
+                delta_rows = rows_with_equal_positions(delta_rows, equality)
             for row in delta_rows:
-                binding = path_plan.binding_of_row(row)
-                if binding is None or binding in seen:
-                    continue
-                seen.add(binding)
-                assignment = dict(zip(names, binding))
+                for slot, position in bound:
+                    assignment[slot] = row[position]
                 if self._extend_assignment(program, 0, assignment, binding_relations, injective):
                     return True
         return False
@@ -311,12 +330,13 @@ class QueryEvaluationPlan:
 
         With ``affected_index=None`` the program enumerates *every* path
         from an empty assignment (the full-enumeration program behind
-        :meth:`iter_derivations` and the ``limit`` mode of
-        :meth:`evaluate_full`).  Paths are ordered greedily so each step
-        shares at least one already bound variable where possible; each
-        step precomputes the positions probed (the shared variables) and
-        the positions contributing new variables, so the runtime check does
-        no schema arithmetic.
+        :meth:`iter_derivations`).  Paths are ordered greedily so each step
+        shares at least one already bound variable where possible.  A step
+        is ``(path index, shared slots, shared positions, new slots, new
+        positions)``: the key probed is read from the assignment's *slots*,
+        the index probed and the values read off a bucket row are
+        *positions of the path's positional relation* — so the runtime
+        loops do no schema arithmetic and build no per-row projection.
         """
         program = self._delta_programs.get(affected_index)
         if program is None:
@@ -333,22 +353,20 @@ class QueryEvaluationPlan:
                     remaining[0],
                 )
                 remaining.remove(index)
-                names = self.path_plans[index].variable_names
-                shared = tuple(name for name in names if name in bound)
-                shared_positions = tuple(names.index(name) for name in shared)
-                fresh = tuple(
-                    (name, position) for position, name in enumerate(names) if name not in bound
-                )
+                path_plan = self.path_plans[index]
+                columns = list(zip(path_plan.variable_names, self._path_columns[index]))
+                shared = [column for name, column in columns if name in bound]
+                fresh = [column for name, column in columns if name not in bound]
                 program.append(
                     (
                         index,
-                        shared,
-                        shared_positions,
-                        tuple(name for name, _ in fresh),
+                        tuple(slot for slot, _ in shared),
+                        tuple(position for _, position in shared),
+                        tuple(slot for slot, _ in fresh),
                         tuple(position for _, position in fresh),
                     )
                 )
-                bound.update(names)
+                bound.update(path_plan.variable_names)
             self._delta_programs[affected_index] = program
         return program
 
@@ -356,30 +374,35 @@ class QueryEvaluationPlan:
         self,
         program: List[Tuple],
         step: int,
-        assignment: Dict[str, object],
+        assignment: List[object],
         binding_relations: Sequence[Relation],
         injective: bool,
     ) -> bool:
+        """``True`` iff ``assignment`` completes through ``program[step:]``.
+
+        ``assignment`` is mutated in place: each step owns its new slots and
+        simply overwrites them on the next bucket row, so backtracking
+        copies nothing.
+        """
         if step == len(program):
-            return not injective or self._is_injective(assignment.values())
-        index, shared, shared_positions, new_names, new_positions = program[step]
+            return not injective or self._is_injective(assignment)
+        index, shared_slots, shared_positions, new_slots, new_positions = program[step]
         relation = binding_relations[index]
         if shared_positions:
-            key = tuple(assignment[name] for name in shared)
+            key = tuple([assignment[slot] for slot in shared_slots])
             bucket = relation.probe(shared_positions, key)
         else:
             bucket = relation.rows
         if not bucket:
             return False
-        if not new_names:
+        if not new_slots:
             # Every bucket row agrees with the assignment and binds nothing
             # new; one witness is enough.
             return self._extend_assignment(program, step + 1, assignment, binding_relations, injective)
         for bucket_row in bucket:
-            extended = dict(assignment)
-            for name, position in zip(new_names, new_positions):
-                extended[name] = bucket_row[position]
-            if self._extend_assignment(program, step + 1, extended, binding_relations, injective):
+            for slot, position in zip(new_slots, new_positions):
+                assignment[slot] = bucket_row[position]
+            if self._extend_assignment(program, step + 1, assignment, binding_relations, injective):
                 return True
         return False
 
@@ -394,100 +417,90 @@ class QueryEvaluationPlan:
     ) -> Iterator[Row]:
         """Yield one answer tuple per *derivation* of the query.
 
-        A derivation is a combination of one binding per covering path that
-        agrees on every shared variable; the same answer tuple is yielded
-        once per derivation, which is exactly the multiplicity a counted
-        answer relation needs (see
-        :class:`~repro.matching.answers.MaterializedAnswers`).  Probes go
-        through the binding relations' maintained indexes, so the cost is
-        proportional to the number of derivations, never to the cross
-        product of the path relations.
+        A derivation is a combination of one row per covering path that
+        agrees on every shared variable.  Every variable of a path is a
+        column of the answer, so an answer determines its derivation: each
+        answer is yielded exactly once.  Probes go through the relations'
+        maintained indexes, so the cost is proportional to the number of
+        answers, never to the cross product of the path relations.
         """
+        for relation in binding_relations:
+            if not relation:
+                return
         program = self._delta_program(None)
-        names = self.variable_names
-        for assignment in self._iter_assignments(program, 0, {}, binding_relations):
-            if injective and not self._is_injective(assignment.values()):
+        assignment: List[object] = [None] * len(self.variable_names)
+        for _ in self._iter_assignments(program, 0, assignment, binding_relations):
+            if injective and not self._is_injective(assignment):
                 continue
-            yield tuple(assignment[name] for name in names)
+            yield tuple(assignment)
 
     def iter_delta_derivations(
         self,
         path_index: int,
-        binding: Row,
+        row: Row,
         binding_relations: Sequence[Relation],
         *,
         injective: bool = False,
     ) -> Iterator[Row]:
-        """Yield the derivations gained (or lost) with one path binding.
+        """Yield the derivations gained (or lost) with one path row.
 
-        Extends ``binding`` — a binding of covering path ``path_index``
-        that just appeared in or disappeared from that path's binding
-        relation — across the *other* paths' binding relations.  Each yield
-        is one derivation of an answer whose support changes by exactly one
-        unit; ``path_index``'s own relation is never probed, so the caller
-        is free to feed the delta before or after patching it.
+        Extends ``row`` — a positional row of covering path ``path_index``
+        (satisfying its equality constraints) that just appeared in or
+        disappeared from that path's relation — across the *other* paths'
+        relations.  Each yield is one derivation of an answer whose support
+        changes by exactly one unit; ``path_index``'s own relation is never
+        probed, so the caller is free to feed the delta before or after
+        patching it.
         """
-        path_plan = self.path_plans[path_index]
-        assignment = dict(zip(path_plan.variable_names, binding))
+        assignment: List[object] = [None] * len(self.variable_names)
+        for slot, position in self._path_columns[path_index]:
+            assignment[slot] = row[position]
         program = self._delta_program(path_index)
-        names = self.variable_names
-        for extended in self._iter_assignments(program, 0, assignment, binding_relations):
-            if injective and not self._is_injective(extended.values()):
+        for _ in self._iter_assignments(program, 0, assignment, binding_relations):
+            if injective and not self._is_injective(assignment):
                 continue
-            yield tuple(extended[name] for name in names)
+            yield tuple(assignment)
 
     def _iter_assignments(
         self,
         program: List[Tuple],
         step: int,
-        assignment: Dict[str, object],
+        assignment: List[object],
         binding_relations: Sequence[Relation],
-    ) -> Iterator[Dict[str, object]]:
+    ) -> Iterator[None]:
         """Enumerate every completion of ``assignment`` through ``program``.
 
         Unlike :meth:`_extend_assignment` (which short-circuits at the
         first witness), every consistent combination of bucket rows is
-        visited — one yield per derivation.  When a step binds no new
-        variable its bucket is keyed on every column, so it holds at most
-        one row and contributes at most one choice.
+        visited — one yield per derivation, with ``assignment`` holding the
+        completed binding *at the time of the yield* (it is mutated in
+        place, so consumers read it before resuming).  When a step binds no
+        new variable its bucket is keyed on every variable column, so it
+        holds at most one row and contributes at most one choice.
         """
         if step == len(program):
-            yield assignment
+            yield None
             return
-        index, shared, shared_positions, new_names, new_positions = program[step]
+        index, shared_slots, shared_positions, new_slots, new_positions = program[step]
         relation = binding_relations[index]
         if shared_positions:
-            key = tuple(assignment[name] for name in shared)
+            key = tuple([assignment[slot] for slot in shared_slots])
             bucket = relation.probe(shared_positions, key)
         else:
             bucket = relation.rows
         if not bucket:
             return
-        if not new_names:
+        if not new_slots:
             yield from self._iter_assignments(
                 program, step + 1, assignment, binding_relations
             )
             return
         for bucket_row in bucket:
-            extended = dict(assignment)
-            for name, position in zip(new_names, new_positions):
-                extended[name] = bucket_row[position]
+            for slot, position in zip(new_slots, new_positions):
+                assignment[slot] = bucket_row[position]
             yield from self._iter_assignments(
-                program, step + 1, extended, binding_relations
+                program, step + 1, assignment, binding_relations
             )
-
-    def _evaluate_limited(
-        self, relations: List[Relation], injective: bool, limit: int
-    ) -> Relation:
-        """Existence-mode evaluation: stop once ``limit`` bindings exist."""
-        result = Relation(self.variable_names)
-        if limit < 1 or any(len(relation) == 0 for relation in relations):
-            return result
-        for answer in self.iter_derivations(relations, injective=injective):
-            result.add(answer)
-            if len(result.rows) >= limit:
-                break
-        return result
 
     # ------------------------------------------------------------------
     # Internal helpers

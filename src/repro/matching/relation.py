@@ -25,7 +25,6 @@ __all__ = [
     "CountedRelation",
     "natural_join",
     "extend_path_rows",
-    "build_row_index",
     "EMPTY_ROWS",
 ]
 
@@ -50,13 +49,17 @@ class Relation:
     """A set of equal-length tuples with named columns.
 
     Relations are mutable (rows are added and removed incrementally as
-    updates arrive) and carry a ``version`` counter plus a signed *delta log*
-    of visibility changes, so cached join-side hash tables can be patched
-    with exactly the rows that appeared or disappeared since they were built
-    — additions and deletions are symmetric deltas, neither forces a
-    rebuild.  Only the wholesale operations (:meth:`replace_rows`,
-    :meth:`clear`) reset the log; they bump ``epoch`` so log positions from
-    a previous epoch are recognisably stale.
+    updates arrive) and carry a ``version`` counter.  A relation with a
+    *reader* additionally records a signed *delta log* of visibility
+    changes: the log is opt-in (:meth:`track_deltas`), because most
+    relations — base edge views, interior trie nodes, terminals nobody
+    subscribed to — are only ever probed, and an unread log costs a tuple
+    per mutation in RAM and in every snapshot.  A reader remembers
+    ``(uid, epoch, log position)`` and consumes :meth:`deltas_since`;
+    additions and deletions are symmetric deltas.  The wholesale operations
+    (:meth:`replace_rows`, :meth:`clear`, log compaction) bump ``epoch`` so
+    positions from a previous epoch are recognisably stale and the reader
+    resynchronises from :attr:`rows` instead.
 
     Relations additionally carry *maintained indexes*: persistent hash
     buckets over chosen key columns (:meth:`ensure_index` / :meth:`probe`)
@@ -77,7 +80,9 @@ class Relation:
         #: Bumped whenever the delta log is reset wholesale; positions into
         #: the log are only comparable within the same epoch.
         self.epoch = 0
-        self._delta_log: List[Delta] = [(row, 1) for row in self.rows]
+        #: Signed visibility changes since tracking started (``None`` until
+        #: a reader asks for them through :meth:`track_deltas`).
+        self._delta_log: List[Delta] | None = None
         #: key positions -> {key tuple -> set of rows carrying that key}.
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple, Set[Row]]] = {}
 
@@ -112,7 +117,8 @@ class Relation:
         if row in self.rows:
             return False
         self.rows.add(row)
-        self._delta_log.append((row, 1))
+        if self._delta_log is not None:
+            self._delta_log.append((row, 1))
         if self._indexes:
             for positions, index in self._indexes.items():
                 if len(positions) == 1:
@@ -128,8 +134,29 @@ class Relation:
         return True
 
     def add_all(self, rows: Iterable[Row]) -> List[Row]:
-        """Add every row; return the list of rows that were actually new."""
-        added = [row for row in rows if self.add(row)]
+        """Add every row; return the list of rows that were actually new.
+
+        The bulk form of :meth:`add`: the row set absorbs the batch first,
+        then the arity check, the delta log and each maintained index are
+        visited once per call instead of once per row.
+        """
+        present = self.rows
+        added: List[Row] = []
+        for row in rows:
+            if row not in present:
+                present.add(row)
+                added.append(row)
+        if not added:
+            return added
+        arity = self.arity
+        if any(len(row) != arity for row in added):
+            present.difference_update(added)
+            raise ValueError(f"row arity does not match schema arity {arity}")
+        if self._delta_log is not None:
+            self._delta_log.extend([(row, 1) for row in added])
+        for positions, index in self._indexes.items():
+            _bucket(index, positions, added)
+        self.version += len(added)
         return added
 
     def remove(self, row: Row) -> bool:
@@ -142,7 +169,8 @@ class Relation:
         if row not in self.rows:
             return False
         self.rows.remove(row)
-        self._delta_log.append((row, -1))
+        if self._delta_log is not None:
+            self._delta_log.append((row, -1))
         if self._indexes:
             for positions, index in self._indexes.items():
                 if len(positions) == 1:
@@ -162,18 +190,43 @@ class Relation:
         """Bound the delta log on churn-heavy relations.
 
         Add/remove pairs grow the log without growing the row set; once it
-        dominates the live rows the log is reset to a snapshot (an epoch
-        bump, so readers holding positions rebuild instead of patching).
-        The O(rows) reset is amortized against the removals that earned it.
+        dominates the live rows the log is emptied (an epoch bump, so
+        readers holding positions resynchronise from :attr:`rows` instead
+        of patching).
         """
         log = self._delta_log
-        if len(log) >= _COMPACT_MIN_LOG and len(log) > _COMPACT_FACTOR * len(self.rows):
-            self.epoch += 1
-            self._delta_log = [(row, 1) for row in self.rows]
+        if (
+            log is not None
+            and len(log) >= _COMPACT_MIN_LOG
+            and len(log) > _COMPACT_FACTOR * len(self.rows)
+        ):
+            self._reset_log()
 
     def remove_all(self, rows: Iterable[Row]) -> List[Row]:
-        """Remove every row; return the list of rows actually removed."""
-        return [row for row in rows if self.remove(row)]
+        """Remove every row; return the list of rows actually removed.
+
+        The bulk form of :meth:`remove` (see :meth:`add_all`).
+        """
+        present = self.rows
+        removed: List[Row] = []
+        for row in rows:
+            if row in present:
+                present.remove(row)
+                removed.append(row)
+        if not removed:
+            return removed
+        if self._delta_log is not None:
+            self._delta_log.extend([(row, -1) for row in removed])
+        for positions, index in self._indexes.items():
+            for key, row in zip(_index_keys(removed, positions), removed):
+                bucket = index.get(key)
+                if bucket is not None:
+                    bucket.discard(row)
+                    if not bucket:
+                        del index[key]
+        self.version += len(removed)
+        self._maybe_compact_log()
+        return removed
 
     def discard(self, row: Row) -> bool:
         """Alias of :meth:`remove` (kept for backwards compatibility)."""
@@ -184,8 +237,7 @@ class Relation:
         if self.rows:
             self.rows.clear()
             self.version += 1
-            self.epoch += 1
-            self._delta_log = []
+            self._reset_log()
             for positions in self._indexes:
                 self._indexes[positions] = {}
 
@@ -193,23 +245,57 @@ class Relation:
         """Replace the contents wholesale (resets the delta log, bumps the epoch)."""
         self.rows = set(rows)
         self.version += 1
-        self.epoch += 1
-        self._delta_log = [(row, 1) for row in self.rows]
+        self._reset_log()
         for positions in self._indexes:
             self._indexes[positions] = self._bucket_rows(positions)
 
-    def deltas_since(self, log_position: int) -> Sequence[Delta]:
-        """Signed visibility changes after ``log_position`` (same epoch only)."""
-        return self._delta_log[log_position:]
+    def _reset_log(self) -> None:
+        """Start a new log epoch (positions of the old one become stale)."""
+        self.epoch += 1
+        if self._delta_log is not None:
+            self._delta_log = []
 
-    def appended_since(self, log_position: int) -> List[Row]:
-        """Rows that appeared after ``log_position`` (ignores removals)."""
-        return [row for row, sign in self._delta_log[log_position:] if sign > 0]
+    # ------------------------------------------------------------------
+    # Delta log (recorded only once a reader asked for it)
+    # ------------------------------------------------------------------
+    def track_deltas(self) -> None:
+        """Start recording the signed delta log (idempotent).
+
+        Called by a reader before its first synchronisation.  The log
+        starts empty — the reader's first sync is a snapshot of
+        :attr:`rows` anyway — and from then on every visibility change is
+        appended, so ``(uid, epoch, log_length)`` taken now is a valid
+        position for :meth:`deltas_since`.
+        """
+        if self._delta_log is None:
+            self._delta_log = []
+
+    @property
+    def tracks_deltas(self) -> bool:
+        """``True`` once a reader asked for the delta log."""
+        return self._delta_log is not None
+
+    def deltas_since(self, log_position: int) -> Sequence[Delta]:
+        """Signed visibility changes after ``log_position`` (same epoch only).
+
+        Raises :class:`RuntimeError` on a relation nobody called
+        :meth:`track_deltas` on: an empty answer would silently read as
+        "nothing changed".
+        """
+        return self._tracked_log()[log_position:]
 
     @property
     def log_length(self) -> int:
-        """Current length of the delta log."""
-        return len(self._delta_log)
+        """Current length of the delta log (raises like :meth:`deltas_since`)."""
+        return len(self._tracked_log())
+
+    def _tracked_log(self) -> List[Delta]:
+        log = self._delta_log
+        if log is None:
+            raise RuntimeError(
+                "relation records no delta log: call track_deltas() before reading it"
+            )
+        return log
 
     # ------------------------------------------------------------------
     # Maintained indexes (persistent adjacency)
@@ -230,14 +316,7 @@ class Relation:
 
     def _bucket_rows(self, positions: Tuple[int, ...]) -> Dict[Tuple, Set[Row]]:
         index: Dict[Tuple, Set[Row]] = {}
-        single = positions[0] if len(positions) == 1 else None
-        for row in self.rows:
-            key = (row[single],) if single is not None else tuple(row[i] for i in positions)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = {row}
-            else:
-                bucket.add(row)
+        _bucket(index, positions, list(self.rows))
         return index
 
     def index_map(self, key_positions: Tuple[int, ...]) -> Dict[Tuple, Set[Row]]:
@@ -299,12 +378,7 @@ class Relation:
         """Rows where every ``(i, j)`` pair of positions holds equal values."""
         if not positions:
             return self.copy()
-        kept = {
-            row
-            for row in self.rows
-            if all(row[i] == row[j] for i, j in positions)
-        }
-        return Relation(self.schema, kept)
+        return Relation(self.schema, rows_with_equal_positions(self.rows, positions))
 
     def distinct_values(self, column: str) -> Set[str]:
         """Distinct values appearing in ``column``."""
@@ -319,14 +393,12 @@ class CountedRelation(Relation):
     """A relation whose rows carry *support counts* (counting-based maintenance).
 
     Used for derived views where the same row can be produced by several
-    distinct derivations — e.g. a per-path binding relation, where many
-    positional path rows project onto the same variable binding.  A row
-    becomes visible when its support goes ``0 -> 1`` and disappears only when
-    the *last* supporting derivation is retracted (``1 -> 0``), which is the
-    classic counting algorithm for incremental view maintenance of
-    projections.  Visibility changes are logged exactly like a plain
-    :class:`Relation`, so join caches built on a counted relation patch
-    themselves identically.
+    distinct derivations — the maintained answer relations of
+    :class:`~repro.matching.answers.MaterializedAnswers`.  A row becomes
+    visible when its support goes ``0 -> 1`` and disappears only when the
+    *last* supporting derivation is retracted (``1 -> 0``), which is the
+    classic counting algorithm for incremental view maintenance.
+    Visibility changes are logged exactly like a plain :class:`Relation`'s.
     """
 
     __slots__ = ("_counts",)
@@ -360,6 +432,14 @@ class CountedRelation(Relation):
         self._counts[row] = count - 1
         return False
 
+    def add_all(self, rows: Iterable[Row]) -> List[Row]:
+        """Add one derivation per row; return the rows that became visible."""
+        return [row for row in rows if self.add(row)]
+
+    def remove_all(self, rows: Iterable[Row]) -> List[Row]:
+        """Retract one derivation per row; return the rows that disappeared."""
+        return [row for row in rows if self.remove(row)]
+
     def discard(self, row: Row) -> bool:
         """Drop ``row`` entirely, regardless of its remaining support."""
         self._counts.pop(row, None)
@@ -382,19 +462,36 @@ class CountedRelation(Relation):
         return f"CountedRelation(schema={self.schema}, rows={len(self.rows)})"
 
 
-def build_row_index(
-    rows: Iterable[Row], key_positions: Sequence[int]
-) -> Dict[Tuple[str, ...], List[Row]]:
-    """Hash-join build phase: bucket ``rows`` by their key columns."""
-    index: Dict[Tuple[str, ...], List[Row]] = {}
-    for row in rows:
-        key = tuple(row[i] for i in key_positions)
-        index.setdefault(key, []).append(row)
-    return index
+def _index_keys(rows: Sequence[Row], positions: Tuple[int, ...]) -> List[Tuple]:
+    """Index keys of ``rows`` over ``positions`` (bulk form of the per-row
+    key construction in :meth:`Relation.add`)."""
+    if len(positions) == 1:
+        position = positions[0]
+        return [(row[position],) for row in rows]
+    if len(positions) == 2:
+        first, second = positions
+        return [(row[first], row[second]) for row in rows]
+    return [tuple([row[i] for i in positions]) for row in rows]
 
 
-# Backwards-compatible private alias (pre-batching internal name).
-_build_index = build_row_index
+def _bucket(index: Dict[Tuple, Set[Row]], positions: Tuple[int, ...], rows: Sequence[Row]) -> None:
+    """Add ``rows`` to the buckets of ``index`` (keyed on ``positions``)."""
+    for key, row in zip(_index_keys(rows, positions), rows):
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = {row}
+        else:
+            bucket.add(row)
+
+
+def rows_with_equal_positions(
+    rows: Iterable[Row], positions: Sequence[Tuple[int, int]]
+) -> List[Row]:
+    """The rows on which every ``(i, j)`` pair of positions holds equal values."""
+    if len(positions) == 1:
+        ((i, j),) = positions
+        return [row for row in rows if row[i] == row[j]]
+    return [row for row in rows if all(row[i] == row[j] for i, j in positions)]
 
 
 def extend_path_rows(

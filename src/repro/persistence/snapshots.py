@@ -1,9 +1,10 @@
 """Engine snapshots: a checksummed envelope around full engine state.
 
 A snapshot is the durable twin of an engine's in-memory state — the interner
-table, the counted relations with their signed delta logs, the maintained
-indexes, the materialised answers, and the registered query database travel
-together, because they are one consistent object graph.  Serialising that
+table, the base and trie views with their maintained indexes, the delta logs
+of the relations that have a reader, the materialised answers, and the
+registered query database travel together, because they are one consistent
+object graph.  Serialising that
 graph wholesale (pickle) is what guarantees the restore invariant the
 property tests enforce: a restored engine is *behaviourally byte-identical*
 to the engine that was snapshotted — same ``matches_of``, same ``describe()``
@@ -58,7 +59,9 @@ __all__ = [
 #: File magic of the snapshot envelope (any mismatch is instant corruption).
 SNAPSHOT_MAGIC = b"REPROSNAP"
 #: Envelope format version (bumped on incompatible layout changes).
-SNAPSHOT_VERSION = 1
+#: 2: TRIC state lost its per-query binding relations (queries read the
+#: shared trie views) and relations record a delta log only for a reader.
+SNAPSHOT_VERSION = 2
 
 #: Envelope header: magic, u16 version, u32 CRC32, u64 payload length.
 _HEADER = struct.Struct(">%dsHIQ" % len(SNAPSHOT_MAGIC))
@@ -117,10 +120,11 @@ def snapshot_engine(engine: "ContinuousEngine") -> bytes:
     """Full state snapshot of ``engine`` as a self-verifying blob.
 
     The pickled object graph carries everything the engine owns — interner,
-    views, tries, maintained relations and indexes (with their delta logs
-    and epochs), materialised answers, registered queries, satisfied-set
-    and counters — so :func:`restore_engine` yields an engine that behaves
-    byte-identically from this point on.
+    views, tries, maintained relations and indexes (with their epochs and,
+    where a reader registered, delta logs), materialised answers,
+    registered queries, satisfied-set and counters — so
+    :func:`restore_engine` yields an engine that behaves byte-identically
+    from this point on.
     """
     try:
         return encode_snapshot(engine)

@@ -26,7 +26,7 @@ from repro import (
 )
 from repro.matching.answers import AnswerSetCache, MaterializedAnswers
 from repro.matching.plans import QueryEvaluationPlan
-from repro.matching.relation import CountedRelation, Relation
+from repro.matching.relation import Relation
 from repro.query.pattern import QueryGraphPattern
 
 from test_equivalence import _random_query
@@ -112,7 +112,7 @@ class TestMaintainedAnswersStayExact:
             if step % 9 == 0:
                 for query in queries:
                     plan = engine._plans[query.query_id]
-                    relations = engine._refresh_binding_relations(query.query_id)
+                    relations = engine._binding_relations[query.query_id]
                     witness = plan.evaluate_full(
                         binding_relations=relations, limit=1
                     )
@@ -215,46 +215,89 @@ class TestMaterializedAnswersUnit:
         )
         return QueryEvaluationPlan(pattern)
 
+    def _path_relations(self, plan):
+        # Positional relations, as a trie's terminal views would be.
+        return [Relation(path_plan.schema) for path_plan in plan.path_plans]
+
     def test_counts_track_derivations(self):
         plan = self._two_path_plan()
-        relations = [
-            CountedRelation(plan.path_plans[0].variable_names),
-            CountedRelation(plan.path_plans[1].variable_names),
-        ]
+        relations = self._path_relations(plan)
         maintainer = MaterializedAnswers(plan)
         assert maintainer.stale
         maintainer.rebuild(relations)
         assert not maintainer.stale
         assert len(maintainer) == 0
+        # The maintainer is now a registered reader of both paths' logs.
+        assert all(relation.tracks_deltas for relation in relations)
 
         # Path 0 gains (a1, b1) while path 1 is still empty: no answer.
         relations[0].add(("a1", "b1"))
-        maintainer.apply_binding_deltas(0, [(("a1", "b1"), 1)], relations)
+        maintainer.sync(relations)
         assert len(maintainer) == 0
 
         # Path 1 gains (a1, c1): one derivation, one answer.
         relations[1].add(("a1", "c1"))
-        maintainer.apply_binding_deltas(1, [(("a1", "c1"), 1)], relations)
+        maintainer.sync(relations)
         assert set(maintainer.relation.rows) == {("a1", "b1", "c1")}
 
         # Retract it again: the answer disappears with its last derivation.
         relations[1].remove(("a1", "c1"))
-        maintainer.apply_binding_deltas(1, [(("a1", "c1"), -1)], relations)
+        maintainer.sync(relations)
         assert len(maintainer) == 0
+
+    def test_sync_with_deltas_pending_on_both_paths(self):
+        """Both paths changed since the last sync: path 0's rows must be
+        joined against path 1's *old* state (the overlay), path 1's rows
+        against path 0's new state — anything else double counts."""
+        plan = self._two_path_plan()
+        relations = self._path_relations(plan)
+        relations[0].add_all([("a1", "b1"), ("a2", "b2")])
+        relations[1].add_all([("a1", "c1"), ("a2", "c2")])
+        maintainer = MaterializedAnswers(plan)
+        maintainer.rebuild(relations)
+        assert set(maintainer.relation.rows) == {("a1", "b1", "c1"), ("a2", "b2", "c2")}
+
+        relations[0].add(("a1", "b9"))       # joins old (a1, c1) and new (a1, c9)
+        relations[0].remove(("a2", "b2"))    # kills (a2, b2, c2) ...
+        relations[1].remove(("a2", "c2"))    # ... exactly once
+        relations[1].add(("a1", "c9"))
+        relations[1].add(("a3", "c3"))       # no partner on path 0
+        relations[0].add(("a4", "b4"))
+        relations[0].remove(("a4", "b4"))    # nets to nothing
+        maintainer.sync(relations)
+        expected = {
+            ("a1", "b1", "c1"), ("a1", "b1", "c9"),
+            ("a1", "b9", "c1"), ("a1", "b9", "c9"),
+        }
+        assert set(maintainer.relation.rows) == expected
+        assert all(maintainer.relation.support(row) == 1 for row in expected)
+        fresh = MaterializedAnswers(plan)
+        fresh.rebuild(relations)
+        assert set(fresh.relation.rows) == expected
 
     def test_stale_maintainer_ignores_deltas_until_rebuilt(self):
         plan = self._two_path_plan()
-        relations = [
-            CountedRelation(plan.path_plans[0].variable_names),
-            CountedRelation(plan.path_plans[1].variable_names),
-        ]
+        relations = self._path_relations(plan)
         maintainer = MaterializedAnswers(plan)
         maintainer.rebuild(relations)
         maintainer.mark_stale()
         relations[0].add(("a1", "b1"))
         relations[1].add(("a1", "c1"))
-        maintainer.apply_binding_deltas(0, [(("a1", "b1"), 1)], relations)
+        maintainer.sync(relations)
         assert len(maintainer) == 0  # ignored while stale
+        maintainer.rebuild(relations)
+        assert set(maintainer.relation.rows) == {("a1", "b1", "c1")}
+
+    def test_epoch_change_marks_the_maintainer_stale(self):
+        plan = self._two_path_plan()
+        relations = self._path_relations(plan)
+        maintainer = MaterializedAnswers(plan)
+        maintainer.rebuild(relations)
+        relations[0].replace_rows([("a1", "b1")])  # wholesale: epoch bump
+        relations[1].add(("a1", "c1"))
+        maintainer.sync(relations)
+        assert maintainer.stale
+        assert len(maintainer) == 0  # untouched until rebuilt
         maintainer.rebuild(relations)
         assert set(maintainer.relation.rows) == {("a1", "b1", "c1")}
 

@@ -126,17 +126,33 @@ class TestDeletionHotPath:
             for query in queries[:2]:
                 engine.matches_of(query.query_id)
 
-    def test_binding_cache_survives_deletions(self):
+    def test_view_indexes_are_patched_not_rebuilt_across_deletions(self):
         engine = TRICPlusEngine()
         rng, queries = _random_workload(seed=23, num_queries=6)
         engine.register_all(queries)
         updates = _random_stream(rng, num_updates=80, deletion_rate=0.0)
         for update in updates:
             engine.on_update(update)
-        populated = len(engine._binding_cache)
-        edge = updates[0].edge
-        engine.on_update(delete(edge.label, edge.source, edge.target))
-        assert len(engine._binding_cache) >= populated  # patched, not cleared
+        # The queries probe their terminal views' own maintained indexes;
+        # pin the index objects the addition stream created ...
+        indexes = {
+            (id(view), positions): view.index_map(positions)
+            for relations in engine._binding_relations.values()
+            for view in relations
+            for positions in view.maintained_index_positions
+        }
+        assert indexes
+        for update in updates[:10]:
+            edge = update.edge
+            engine.on_update(delete(edge.label, edge.source, edge.target))
+        # ... and require the very same dict objects after deletions, still
+        # exactly bucketing the views' rows (patched in place, not rebuilt).
+        for relations in engine._binding_relations.values():
+            for view in relations:
+                for positions in view.maintained_index_positions:
+                    index = view.index_map(positions)
+                    assert indexes.get((id(view), positions), index) is index
+                    assert set().union(*index.values()) == view.rows
 
     def test_base_and_materialising_variants_agree_under_churn(self):
         rng, queries = _random_workload(seed=31, num_queries=8)

@@ -31,6 +31,7 @@ from repro.graph.errors import (
     SnapshotCorruptError,
 )
 from repro.persistence import (
+    SNAPSHOT_VERSION,
     DeltaJournal,
     DurableEngine,
     FaultInjector,
@@ -154,6 +155,18 @@ class TestSnapshotEnvelope:
         tampered = blob[:9] + b"\xff\xff" + blob[11:]
         with pytest.raises(SnapshotCorruptError):
             decode_snapshot(tampered)
+
+    def test_version_1_envelope_is_refused_with_a_typed_error(self):
+        """Format 2 dropped the per-query binding copies and the unread
+        delta logs; a v1 payload would unpickle into attributes the code no
+        longer has, so it is refused at the envelope, not deserialised."""
+        assert SNAPSHOT_VERSION == 2
+        blob = encode_snapshot("payload")
+        v1 = blob[:9] + (1).to_bytes(2, "big") + blob[11:]  # valid CRC, old version
+        with pytest.raises(SnapshotCorruptError, match="version 1"):
+            decode_snapshot(v1)
+        with pytest.raises(SnapshotCorruptError, match="version 1"):
+            ContinuousEngine.restore(v1)
 
     def test_restore_engine_rejects_non_engines(self):
         with pytest.raises(SnapshotCorruptError):

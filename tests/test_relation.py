@@ -51,12 +51,49 @@ class TestRelationBasics:
         relation.discard(("x",))
         assert relation.version > v1
 
-    def test_append_log(self):
-        relation = Relation(("a",))
+    def test_delta_log_is_opt_in(self):
+        relation = Relation(("a",), [("w",)])
+        assert not relation.tracks_deltas
         relation.add(("x",))
+        with pytest.raises(RuntimeError):
+            relation.deltas_since(0)
+        with pytest.raises(RuntimeError):
+            relation.log_length
+        relation.track_deltas()
+        assert relation.tracks_deltas
+        # The log starts empty: a reader's first sync is a snapshot of rows.
         mark = relation.log_length
+        assert mark == 0
         relation.add(("y",))
-        assert list(relation.appended_since(mark)) == [("y",)]
+        relation.track_deltas()  # idempotent: does not reset the log
+        assert list(relation.deltas_since(mark)) == [(("y",), 1)]
+
+    def test_bulk_mutators_reject_wrong_arity_without_side_effects(self):
+        relation = Relation(("a", "b"), [("x", "y")])
+        relation.ensure_index((0,))
+        relation.track_deltas()
+        with pytest.raises(ValueError):
+            relation.add_all([("p", "q"), ("only-one",)])
+        assert relation.rows == {("x", "y")}
+        assert relation.log_length == 0
+        assert relation.probe((0,), ("p",)) == set()
+
+    def test_bulk_mutators_patch_indexes_and_log_like_the_per_row_forms(self):
+        bulk = Relation(("a", "b", "c"))
+        single = Relation(("a", "b", "c"))
+        for relation in (bulk, single):
+            relation.track_deltas()
+            for positions in [(0,), (1, 2), (0, 1, 2)]:
+                relation.ensure_index(positions)
+        rows = [(i % 3, i % 5, i) for i in range(30)]
+        assert bulk.add_all(rows + rows[:4]) == [row for row in rows if single.add(row)]
+        gone = rows[::2] + [(9, 9, 9)]
+        assert bulk.remove_all(gone) == [row for row in gone if single.remove(row)]
+        assert bulk.rows == single.rows
+        assert bulk.version == single.version
+        assert list(bulk.deltas_since(0)) == list(single.deltas_since(0))
+        for positions in bulk.maintained_index_positions:
+            assert bulk.index_map(positions) == single.index_map(positions)
 
     def test_clear_and_replace(self):
         relation = Relation(("a",), [("x",), ("y",)])
@@ -75,11 +112,11 @@ class TestRelationBasics:
 class TestDeltaLog:
     def test_removals_are_logged_with_negative_sign(self):
         relation = Relation(("a",), [("x",)])
+        relation.track_deltas()
         mark = relation.log_length
         relation.add(("y",))
         relation.remove(("x",))
         assert list(relation.deltas_since(mark)) == [(("y",), 1), (("x",), -1)]
-        assert relation.appended_since(mark) == [("y",)]
 
     def test_remove_all_reports_only_removed_rows(self):
         relation = Relation(("a",), [("x",), ("y",)])
@@ -89,6 +126,7 @@ class TestDeltaLog:
 
     def test_log_positions_stay_valid_across_removals(self):
         relation = Relation(("a",))
+        relation.track_deltas()
         relation.add(("x",))
         mark = relation.log_length
         relation.remove(("x",))
@@ -97,10 +135,11 @@ class TestDeltaLog:
 
     def test_churn_compacts_the_log_instead_of_growing_it(self):
         relation = Relation(("a",))
+        relation.track_deltas()
         epoch = relation.epoch
         # Add/remove cycles grow the log without growing the row set; the
-        # relation must eventually snapshot-reset it (with an epoch bump)
-        # rather than retaining one entry per mutation forever.
+        # relation must eventually reset it (with an epoch bump) rather
+        # than retaining one entry per mutation forever.
         for i in range(500):
             row = (f"x{i}",)
             relation.add(row)
@@ -111,9 +150,12 @@ class TestDeltaLog:
 
     def test_wholesale_operations_bump_the_epoch(self):
         relation = Relation(("a",), [("x",)])
+        relation.track_deltas()
+        relation.add(("w",))
         epoch = relation.epoch
         relation.replace_rows([("y",)])
         assert relation.epoch == epoch + 1
+        assert relation.log_length == 0  # old positions are stale anyway
         relation.clear()
         assert relation.epoch == epoch + 2
         assert relation.log_length == 0
@@ -141,6 +183,7 @@ class TestCountedRelation:
 
     def test_visibility_changes_are_logged_once(self):
         relation = CountedRelation(("a",))
+        relation.track_deltas()
         relation.add(("x",))
         relation.add(("x",))
         relation.remove(("x",))

@@ -61,14 +61,13 @@ class TestTrie:
         with pytest.raises(ValueError):
             trie.insert_path([K_POSTED1])
 
-    def test_nodes_with_key(self):
+    def test_child_with_key_is_a_lookup(self):
         trie = Trie(K_HASMOD)
-        trie.insert_path([K_HASMOD, K_POSTED1])
+        terminal = trie.insert_path([K_HASMOD, K_POSTED1])
         trie.insert_path([K_HASMOD, K_POSTED2])
-        assert len(trie.nodes_with_key(K_POSTED1)) == 1
-        assert len(trie.nodes_with_key(K_HASMOD)) == 1
-        assert trie.contains_key(K_POSTED2)
-        assert not trie.contains_key(K_CONTAINED)
+        assert trie.root.child_with_key(K_POSTED1) is terminal
+        assert trie.root.child_with_key(K_CONTAINED) is None
+        assert set(trie.root.children) == {K_POSTED1, K_POSTED2}
 
 
 class TestTrieForest:
@@ -79,13 +78,18 @@ class TestTrieForest:
         assert forest.num_tries() == 2
         assert set(forest.roots) == {K_HASMOD, K_POSTED1}
 
-    def test_edge_index_lists_tries_containing_a_key(self):
+    def test_edge_index_lists_every_node_indexing_a_key(self):
         forest = TrieForest()
-        forest.index_path([K_HASMOD, K_POSTED1])
+        deep = forest.index_path([K_HASMOD, K_POSTED1])
         forest.index_path([K_POSTED1, K_CONTAINED])
-        tries = forest.tries_containing(K_POSTED1)
-        assert len(tries) == 2
-        assert len(forest.nodes_with_key(K_POSTED1)) == 2
+        forest.index_path([K_HASMOD, K_POSTED1])  # re-indexing adds nothing
+        nodes = forest.nodes_with_key(K_POSTED1)
+        assert set(nodes) == {deep, forest.roots[K_POSTED1].root}  # two tries
+        assert len(nodes) == 2
+        assert forest.nodes_with_key(K_POSTED2) == ()
+        forest.index_path([K_HASMOD, K_POSTED2, K_POSTED1])  # same trie, new branch
+        assert len(forest.nodes_with_key(K_POSTED1)) == 3
+        assert len(forest.nodes_with_key(K_HASMOD)) == 1
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
