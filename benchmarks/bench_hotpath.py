@@ -25,7 +25,7 @@ byte-identical answers required.
 The serving-layer sections measure the pub/sub tier: ``subscription_delivery``
 (broker k-of-n delta delivery vs ``poll_every`` polling), ``affected_flush``
 (the BatchReport-consulting broker vs PR 4's flush-everything broker), and
-``parallel_shards`` (the serial/thread/process shard fan-out executors vs
+``parallel_shards`` (the serial/process shard fan-out executors vs
 PR 4's per-run serialized fan-out, with answers asserted byte-identical
 across every executor x shard-count cell; the host CPU count is recorded —
 process-executor wall-clock wins need real cores, and this grid keeps the
@@ -968,9 +968,9 @@ def test_affected_flush_beats_flush_everything():
 
 
 # ----------------------------------------------------------------------
-# Parallel shard fan-out: serial vs thread vs process executors
+# Parallel shard fan-out: serial vs process executors
 # ----------------------------------------------------------------------
-SHARD_EXECUTORS_BENCHED = ("serial", "thread", "process")
+SHARD_EXECUTORS_BENCHED = ("serial", "process")
 
 #: Micro-batch size for the executor grid: large enough that per-batch
 #: shard work dominates dispatch overhead (the regime sharded serving
@@ -1005,10 +1005,10 @@ def test_parallel_shard_fanout():
     wall-clock *loss*.  This PR attacks both halves: batches now reach each
     shard as one call (run splitting happens inside the shard), and the
     call layer is a pluggable executor.  The grid records
-    serial/thread/process x 1/2/4 shards on the deletion-heavy
+    serial/process x 1/2/4 shards on the deletion-heavy
     subscription workload against the PR 4 per-run baseline, asserts every
     cell reconstructs the same answer states byte for byte, and gates the
-    in-process executors on beating that baseline (fan-out scaling >= 1 —
+    in-process executor on beating that baseline (fan-out scaling >= 1 —
     sharded ticks no longer pay the per-run fan-out tax).  True
     multi-core speedup needs more than one CPU by definition; the host's
     CPU count is committed with the numbers, and on a multi-core host the
@@ -1150,7 +1150,6 @@ def test_parallel_shard_fanout():
     # every scale.)
     for shards in ("2", "4"):
         current = shard_calls["serial"][shards]
-        assert shard_calls["thread"][shards] == current, "call counts diverged"
         assert shard_calls["process"][shards] == current, "call counts diverged"
         assert shard_calls["per_run"][shards] >= 4 * current, (
             f"per-run baseline at x{shards} no longer pays per-run fan-out "
@@ -1160,15 +1159,13 @@ def test_parallel_shard_fanout():
     strict = scale >= STRICT_PAIR_SCALE
     if strict:
         for shards in ("2", "4"):
-            # In-process executors must at least match PR 4's per-run
-            # fan-out (parity within timer noise on a single-CPU host,
-            # where concurrency cannot buy wall-clock back): sharded ticks
-            # no longer pay the per-run fan-out tax.
-            for executor in ("serial", "thread"):
-                assert fanout_speedup[executor][shards] >= 0.85, (
-                    f"{executor} fan-out at x{shards} behind the per-run "
-                    f"baseline ({fanout_speedup[executor][shards]:.2f}x)"
-                )
+            # The in-process executor must at least match PR 4's per-run
+            # fan-out (parity within timer noise): sharded ticks no longer
+            # pay the per-run fan-out tax.
+            assert fanout_speedup["serial"][shards] >= 0.85, (
+                f"serial fan-out at x{shards} behind the per-run "
+                f"baseline ({fanout_speedup['serial'][shards]:.2f}x)"
+            )
             # The process executor's IPC must stay bounded everywhere, and
             # on a real multi-core host it must win outright.
             floor = 1.0 if cpus >= 2 else PROCESS_SINGLE_CPU_FLOOR

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Sequence, Tuple
 
 from ..graph.errors import BenchmarkError
+from ..pubsub.sharding import SHARD_EXECUTORS
 
 __all__ = [
     "ExperimentConfig",
@@ -89,8 +90,8 @@ class ExperimentConfig:
     #: Number of engine shards the query database is partitioned across
     #: (1 = the unsharded engines the paper evaluates).
     shards: int = 1
-    #: Shard fan-out executor (``serial``, ``thread`` or ``process``; only
-    #: meaningful with ``shards > 1``).
+    #: Shard fan-out executor (``serial`` or ``process``; only meaningful
+    #: with ``shards > 1``).
     executor: str = "serial"
 
     def __post_init__(self) -> None:
@@ -106,9 +107,10 @@ class ExperimentConfig:
             raise BenchmarkError("subscribe must not be negative")
         if self.shards < 1:
             raise BenchmarkError("shards must be at least 1")
-        if self.executor not in ("serial", "thread", "process"):
+        if self.executor not in SHARD_EXECUTORS:
             raise BenchmarkError(
-                f"unknown executor {self.executor!r}; options: serial, thread, process"
+                f"unknown executor {self.executor!r}; options: "
+                + ", ".join(SHARD_EXECUTORS)
             )
 
     # ------------------------------------------------------------------

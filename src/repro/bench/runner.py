@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 
 from ..engines import ANSWER_MATERIALISING_ENGINES, ENGINE_FACTORIES, ENGINE_STRATEGIES
 from ..pubsub.serve import parse_subscribe_spec
+from ..pubsub.sharding import SHARD_EXECUTORS
 from .configs import DEFAULT_BENCH_SCALE
 from .experiments import EXPERIMENTS, ExperimentResult, experiment_ids, run_experiment
 from .figures import FIGURES
@@ -76,10 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="partition the query database across N independent engine "
                         "shards (default 1: the paper's unsharded engines)")
     parser.add_argument("--executor", default=None,
-                        choices=("serial", "thread", "process"),
+                        choices=SHARD_EXECUTORS,
                         help="shard fan-out executor (with --shards > 1): serial "
-                        "in-process loop, thread pool, or one worker process per "
-                        "shard (default serial)")
+                        "in-process loop or one worker process per shard "
+                        "(default serial)")
     parser.add_argument("--output", type=Path, default=None,
                         help="directory to write one .txt report per experiment")
     parser.add_argument("--profile", action="store_true",

@@ -1,4 +1,4 @@
-"""Engine registry: build any of the seven evaluated engines by name.
+"""Engine registry: build any of the eight registered engines by name.
 
 The benchmark harness, the examples, and the tests all construct engines
 through this registry so that the set of algorithms under evaluation is
@@ -100,7 +100,7 @@ def create_sharded_engine(
     snapshot_every: "int | None" = None,
     journal_fsync: bool = True,
     replicas: int = 0,
-    respawn_window: "float | None" = 60.0,
+    respawn_window: float = 60.0,
     **kwargs,
 ) -> ContinuousEngine:
     """Engine ``name``, sharded across ``num_shards`` instances when > 1.
@@ -109,19 +109,19 @@ def create_sharded_engine(
     :func:`create_engine`; otherwise the query database is partitioned
     across independent engine instances behind a
     :class:`~repro.pubsub.sharding.ShardedEngineGroup` (``assignment`` is
-    ``"hash"`` or ``"label"``; ``executor`` is ``"serial"``, ``"thread"``
-    or ``"process"`` and decides how a batch fans out to the relevant
+    ``"hash"`` or ``"label"``; ``executor`` is ``"serial"`` or
+    ``"process"`` and decides how a batch fans out to the relevant
     shards).  Keyword arguments are forwarded to the underlying engine
     factory either way.
 
     ``replicas`` (process executor only) attaches that many replica
-    workers to every shard: they bootstrap from the primary's snapshot,
-    tail its acknowledged-ops log, absorb ``matches_of`` /
+    workers to every shard: they are built from the shard's recovery
+    source, tail its acknowledged-ops log, absorb ``matches_of`` /
     ``has_matches`` / ``describe`` traffic, and stand in for a dead
     primary via promotion.  A single-shard engine with replicas is still
     built as a (one-shard) group, since replication lives in the shard
-    proxy.  ``respawn_window`` bounds how long worker deaths count
-    against the shard's respawn budget (``None``: lifetime cap).
+    supervisor.  ``respawn_window`` bounds how long (seconds) worker
+    deaths count against the shard's respawn budget.
 
     ``journal_dir`` makes the result durable: the engine (or the whole
     sharded group) is wrapped in a

@@ -16,10 +16,14 @@ life beyond its process:
 * :mod:`~repro.persistence.faults` — deterministic fault injection
   (:class:`~repro.persistence.faults.FaultInjector`) the recovery property
   tests and ``tools/faultinject.py`` drive.
-* :mod:`~repro.persistence.replication` — the process-shard worker
-  runtime plus :class:`~repro.persistence.replication.ReplicaSet`:
-  replica workers that tail a primary's acknowledged-ops log, absorb
-  read traffic, and stand in for a dead primary via promotion.
+* :mod:`~repro.persistence.workers` — the process-shard worker runtime,
+  the parent-side worker handle, and the
+  :class:`~repro.persistence.workers.RecoverySource` (snapshot +
+  acknowledged-op tail) every worker of a shard is built from.
+* :mod:`~repro.persistence.replication` — the shard supervisor and its
+  :class:`~repro.persistence.replication.ReplicaSet`: replica workers
+  that tail a primary's acknowledged-ops log, absorb read traffic, and
+  stand in for a dead primary via promotion.
 """
 
 from .durable import DurableEngine
@@ -30,7 +34,7 @@ from .faults import (
     truncate_file_tail,
 )
 from .journal import DeltaJournal, JournalRecord, frame_record, parse_frames
-from .replication import WORKER_FAILURES, ReplicaSet
+from .replication import ReplicaSet
 from .snapshots import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -47,6 +51,7 @@ from .snapshots import (
     updates_to_payload,
     write_snapshot_file,
 )
+from .workers import WORKER_FAILURES
 
 __all__ = [
     "DurableEngine",

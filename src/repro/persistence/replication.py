@@ -1,325 +1,88 @@
-"""Per-shard replication: replica workers, failover reads, promotion.
+"""Shard supervision: one primary worker, its replicas, one recovery source.
 
-A process-executor shard (see :mod:`repro.pubsub.sharding`) is a primary
-worker process driven over picklable command frames.  This module adds the
-replication substrate around that primary:
-
-* the **worker runtime** shared by primaries and replicas — the pool
-  initializer (:func:`worker_init`), the command dispatcher
-  (:func:`worker_call` / :func:`shard_op`) and the failure signature
-  (:data:`WORKER_FAILURES`) that distinguishes "the worker process died"
-  from an engine-level exception;
-* :class:`ReplicaSet` — ``N`` replica workers per shard that bootstrap
-  from the primary's snapshot and stay current by consuming its
-  acknowledged-ops log (the supervision command log *is* the replication
-  stream).  Replicas absorb read traffic (each read first drains the
-  replica to the primary's acknowledged sequence, so answers are
-  byte-identical to the primary's), a dead replica is detached and
-  re-seeded from a fresh primary snapshot, and a dead primary *promotes*
-  the freshest replica — the journal-seq comparison — so the shard keeps
-  serving without replaying its history.
+A process-executor shard (see :mod:`repro.pubsub.sharding`) is a
+:class:`ShardSupervisor`: *policy* over one primary worker handle, a
+:class:`ReplicaSet` of replica handles and the shard's
+:class:`~repro.persistence.workers.RecoverySource`.  How a worker is made
+and spoken to lives in :mod:`repro.persistence.workers`; this module only
+decides which worker serves what, and what happens when one is lost.
 
 Replication is asynchronous but loss-free: an op is forwarded to replicas
 only **after** the primary acknowledged it, so a promoted replica (drained
 of its queued ops) is exactly the primary's acknowledged state, and the
 in-flight batch the dead primary never acknowledged is re-run exactly once
-by the proxy's supervision path — byte-identical to a never-crashed shard.
+— byte-identical to a never-crashed shard.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import time
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import Future
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar
 
-from ..core.engine import ContinuousEngine
+from ..core.engine import BatchReport
 from ..graph.elements import Update
-from ..graph.errors import EngineError, ShardUnavailableError
+from ..graph.errors import PersistenceError, ShardUnavailableError
+from ..query.pattern import QueryGraphPattern
+from .workers import ProcessWorker, RecoverySource, Worker, WorkerLost, collect
 
-__all__ = [
-    "ReplicaSet",
-    "WORKER_FAILURES",
-    "shard_op",
-    "silent_backfill",
-    "spawn_worker_pool",
-    "worker_call",
-    "worker_init",
-]
+__all__ = ["ReplicaSet", "ShardSupervisor"]
 
-#: Exceptions that mean "the worker process died" (vs. an engine error,
-#: which travels back through the future as the engine's own exception).
-WORKER_FAILURES = (BrokenProcessPool, BrokenPipeError, EOFError)
-
-#: A seed for a fresh replica: the primary's snapshot blob (or ``None``
-#: for a brand-new shard) and the acknowledged sequence it covers.
-SnapshotProvider = Callable[[], Tuple[Optional[bytes], int]]
-
-
-def silent_backfill(engine: ContinuousEngine, updates: Sequence[Update]) -> None:
-    """Replay ``updates`` into ``engine`` without touching its satisfied-set.
-
-    Registration backfill must not mark queries satisfied (a query only
-    enters the satisfied-set through a later notification), exactly like
-    the engines' own registration-time view recomputation.  Used by the
-    in-process shards and by the shard workers, primary and replica alike.
-    """
-    satisfied_before = engine.satisfied_queries()
-    engine.on_batch(updates)
-    engine._satisfied.clear()
-    engine._satisfied.update(satisfied_before)
-
-
-# ----------------------------------------------------------------------
-# Worker runtime (shared by primary and replica processes)
-# ----------------------------------------------------------------------
-#: The engine owned by this worker process (one engine per single-worker
-#: pool; every command of that shard is executed against it).
-_WORKER_ENGINE: Optional[ContinuousEngine] = None
-
-
-def worker_init(
-    engine_name: str, engine_kwargs: Dict[str, object], injective: bool
-) -> None:
-    """Pool initializer: build this worker's engine inside the process.
-
-    Workers ignore SIGINT/SIGTERM: a terminal signal aimed at the serving
-    process (or its whole process group — a ^C) must not kill the shards
-    out from under the parent's graceful shutdown; the parent ends workers
-    through the pool's shutdown path (and supervised respawn / promotion
-    handles any worker that dies anyway).
-    """
-    global _WORKER_ENGINE
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    from ..engines import create_engine
-
-    _WORKER_ENGINE = create_engine(engine_name, injective=injective, **engine_kwargs)
-
-
-def shard_op(engine: ContinuousEngine, op: str, args: Tuple) -> object:
-    """Dispatch one shard command against ``engine`` (any address space).
-
-    Shared by the worker processes (:func:`worker_call`) and by the
-    proxy's graceful-degradation mode, which runs the same command frames
-    against an in-process engine after repeated worker failures — one
-    dispatch, identical semantics on both sides of the process boundary.
-    """
-    if op == "batch":
-        (updates,) = args
-        start = time.perf_counter()
-        if len(updates) == 1:
-            report = engine.on_update(updates[0])
-        else:
-            report = engine.on_batch(updates)
-        return report, engine.satisfied_queries(), time.perf_counter() - start
-    if op == "register":
-        (pattern,) = args
-        engine.register(pattern)
-        return None
-    if op == "backfill":
-        (updates,) = args
-        silent_backfill(engine, updates)
-        return None
-    if op == "matches_of":
-        return engine.matches_of(args[0])
-    if op == "has_matches":
-        return engine.has_matches(args[0])
-    if op == "satisfied":
-        return engine.satisfied_queries()
-    if op == "describe":
-        return engine.describe()
-    if op == "snapshot":
-        return engine.snapshot()
-    raise EngineError(f"unknown process-shard command: {op!r}")  # pragma: no cover
-
-
-def worker_call(op: str, args: Tuple) -> object:
-    """Execute one picklable command frame against the worker's engine.
-
-    The framing is deliberately narrow: operands are the repository's
-    picklable value types (:class:`~repro.graph.elements.Update`,
-    :class:`~repro.query.pattern.QueryGraphPattern`, query-id strings,
-    snapshot blobs) and replies are plain data (a
-    :class:`~repro.core.engine.BatchReport` with its wall-clock seconds,
-    binding dictionaries, frozensets, description dictionaries) — never
-    live relations or views, which stay inside the worker.
-
-    Two commands exist purely for supervision and replication:
-    ``snapshot`` ships the worker engine's full state to the parent as a
-    checksummed blob, and ``restore`` rebuilds the engine from such a blob
-    inside a freshly spawned worker (a respawned primary or a replica
-    bootstrapping from the primary's state).
-    """
-    global _WORKER_ENGINE
-    if op == "restore":
-        (blob,) = args
-        _WORKER_ENGINE = ContinuousEngine.restore(blob)
-        return None
-    if op == "pid":
-        return os.getpid()
-    engine = _WORKER_ENGINE
-    if engine is None:
-        raise ShardUnavailableError("process shard used before initialization")
-    return shard_op(engine, op, args)
-
-
-def spawn_worker_pool(
-    engine_name: str, engine_kwargs: Dict[str, object], injective: bool
-) -> ProcessPoolExecutor:
-    """A single-worker pool whose process hosts one shard engine."""
-    return ProcessPoolExecutor(
-        max_workers=1,
-        initializer=worker_init,
-        initargs=(engine_name, dict(engine_kwargs), injective),
-    )
+T = TypeVar("T")
 
 
 # ----------------------------------------------------------------------
 # Replica sets
 # ----------------------------------------------------------------------
-class _Replica:
-    """One replica worker: its pool, pid, and replication progress."""
-
-    __slots__ = ("pool", "pid", "applied_seq", "pending")
-
-    def __init__(self, pool: ProcessPoolExecutor, pid: int, applied_seq: int) -> None:
-        self.pool = pool
-        self.pid = pid
-        #: Sequence number of the last op this replica is known to have
-        #: applied (its position in the primary's acknowledged-ops stream).
-        self.applied_seq = applied_seq
-        #: Forwarded-but-not-yet-acknowledged ops: (seq, future), FIFO.
-        self.pending: Deque[Tuple[int, Future]] = deque()
-
-
 class ReplicaSet:
-    """``N`` replica workers tailing one primary's acknowledged-ops log.
+    """Up to ``target`` replica workers tailing one primary's acknowledged ops.
 
-    The owner (a ``_ProcessShardProxy``) calls :meth:`forward` after every
+    The owner (a :class:`ShardSupervisor`) calls :meth:`forward` after every
     op the primary acknowledged — the op is submitted asynchronously to
-    every replica's single-worker pool, whose FIFO queue preserves the
-    log order.  Reads drain the chosen replica to the primary's
-    acknowledged sequence before serving, so a replica answer is
-    byte-identical to the primary's.  Failure handling:
-
-    * a replica that dies (submit/ack raises one of
-      :data:`WORKER_FAILURES`) is *detached*; :meth:`replenish` re-seeds a
-      replacement from a fresh primary snapshot pulled through the
-      ``snapshot_provider`` callback;
-    * a dead **primary** calls :meth:`promote`: every surviving replica is
-      drained (safe — only primary-acknowledged ops were ever forwarded)
-      and the one with the highest applied sequence is detached and handed
-      back to become the new primary.
+    every replica, whose FIFO command channel preserves the log order.
+    A replica that dies is *detached*; :meth:`replenish` builds a
+    replacement from the shard's recovery source, like every other worker.
     """
 
-    def __init__(
-        self,
-        engine_name: str,
-        engine_kwargs: Dict[str, object],
-        injective: bool,
-        target: int,
-        *,
-        snapshot_provider: SnapshotProvider,
-    ) -> None:
-        if target < 1:
-            raise EngineError("a replica set needs at least one replica")
-        self.name = engine_name
-        self._engine_kwargs = dict(engine_kwargs)
-        self._injective = injective
+    def __init__(self, target: int) -> None:
         self.target = target
-        self.snapshot_provider = snapshot_provider
-        self.replicas: List[_Replica] = []
+        self.replicas: List[ProcessWorker] = []
         self._rr = 0
         self.reads_served = 0
         self.read_failovers = 0
         self.reseeds = 0
         self.deaths = 0
-        self._closed = False
-        self.replenish(initial=True)
 
     # -- membership ------------------------------------------------------
-    def _spawn(self, blob: Optional[bytes], seq: int) -> Optional[_Replica]:
-        pool = spawn_worker_pool(self.name, self._engine_kwargs, self._injective)
-        try:
-            if blob is not None:
-                pool.submit(worker_call, "restore", (blob,)).result()
-            pid = pool.submit(worker_call, "pid", ()).result()
-        except WORKER_FAILURES:
-            pool.shutdown(wait=False)
-            return None
-        return _Replica(pool, pid, seq)
+    def replenish(self, source: RecoverySource, initial: bool = False) -> None:
+        """Bring the set back up to ``target`` replicas built from ``source``.
 
-    def replenish(self, initial: bool = False) -> int:
-        """Bring the set back up to ``target`` replicas.
-
-        Newcomers bootstrap from a primary snapshot pulled once through
-        ``snapshot_provider`` (their replication position is the sequence
-        that snapshot covers).  A primary too sick to provide a seed ends
-        the attempt quietly — the owner's supervision path deals with the
-        primary, and the next interaction replenishes.  Returns the number
-        of replicas spawned.
+        A newcomer's pid is fetched while it is known alive, so fault
+        injection can always name it; one that dies while being built ends
+        the attempt quietly — the next interaction replenishes.
         """
-        if self._closed or len(self.replicas) >= self.target:
-            return 0
-        try:
-            blob, seq = self.snapshot_provider()
-        except WORKER_FAILURES:
-            return 0
-        spawned = 0
         while len(self.replicas) < self.target:
-            replica = self._spawn(blob, seq)
-            if replica is None:
-                break
+            try:
+                replica = source.build()
+                replica.pid()
+            except WorkerLost:
+                return
             self.replicas.append(replica)
-            spawned += 1
             if not initial:
                 self.reseeds += 1
-        return spawned
 
-    def _detach(self, replica: _Replica) -> None:
-        if replica in self.replicas:
-            self.replicas.remove(replica)
-            self.deaths += 1
-        replica.pool.shutdown(wait=False)
+    def _detach(self, replica: ProcessWorker) -> None:
+        self.replicas.remove(replica)
+        self.deaths += 1
+        replica.shutdown()
 
     # -- the replication stream ------------------------------------------
     def forward(self, seq: int, op: str, args: Tuple) -> None:
         """Ship one primary-acknowledged op to every live replica (async)."""
-        if self._closed:
-            return
         for replica in list(self.replicas):
-            try:
-                future = replica.pool.submit(worker_call, op, args)
-            except Exception:
+            replica.forward(seq, op, args)
+            if not replica.ack():
                 self._detach(replica)
-                continue
-            replica.pending.append((seq, future))
-            self._ack(replica)
-
-    def _ack(self, replica: _Replica) -> None:
-        """Advance ``applied_seq`` over already-finished forwards (no wait)."""
-        while replica.pending and replica.pending[0][1].done():
-            seq, future = replica.pending.popleft()
-            if future.exception() is not None:
-                self._detach(replica)
-                return
-            replica.applied_seq = seq
-
-    def _drain(self, replica: _Replica) -> bool:
-        """Block until the replica applied every forwarded op (False: died)."""
-        while replica.pending:
-            seq, future = replica.pending.popleft()
-            try:
-                future.result()
-            except Exception:
-                self._detach(replica)
-                return False
-            replica.applied_seq = seq
-        return True
 
     # -- reads -----------------------------------------------------------
     def read(self, op: str, args: Tuple) -> Tuple[bool, object]:
@@ -329,95 +92,396 @@ class ReplicaSet:
         the primary's acknowledged sequence first, so the answer is
         byte-identical to the primary's.  A replica that dies mid-read is
         detached and the read fails over to the next; ``(False, None)``
-        means no replica could serve and the caller should fall back to
-        the primary (and :meth:`replenish`).
+        means no replica could serve (fall back to the primary).
         """
-        while self.replicas and not self._closed:
+        while self.replicas:
             replica = self.replicas[self._rr % len(self.replicas)]
             self._rr += 1
-            if not self._drain(replica):
-                self.read_failovers += 1
-                continue
-            try:
-                result = replica.pool.submit(worker_call, op, args).result()
-            except WORKER_FAILURES:
-                self._detach(replica)
-                self.read_failovers += 1
-                continue
-            self.reads_served += 1
-            return True, result
+            if replica.drain():
+                try:
+                    result = replica.call(op, *args)
+                except WorkerLost:
+                    pass
+                else:
+                    self.reads_served += 1
+                    return True, result
+            self._detach(replica)
+            self.read_failovers += 1
         return False, None
 
     # -- promotion -------------------------------------------------------
-    def promote(self) -> Optional[_Replica]:
+    def promote(self) -> Optional[ProcessWorker]:
         """Detach and return the freshest fully-drained replica.
 
         Called when the primary died.  Every surviving replica is drained
-        — the ops queued in its pool were acknowledged by the primary
+        — the ops queued on its channel were acknowledged by the primary
         before being forwarded, so applying them is always safe — and the
         one with the highest applied sequence wins the journal-seq
-        comparison.  Replicas that die during the drain are detached.
-        Returns ``None`` when no replica survives (the owner falls back to
-        respawn-from-recovery-source).
+        comparison.  ``None``: no replica survived.
         """
-        best: Optional[_Replica] = None
+        best: Optional[ProcessWorker] = None
         for replica in list(self.replicas):
-            if not self._drain(replica):
-                continue
-            if best is None or replica.applied_seq > best.applied_seq:
+            if not replica.drain():
+                self._detach(replica)
+            elif best is None or replica.applied_seq > best.applied_seq:
                 best = replica
         if best is not None:
             self.replicas.remove(best)
         return best
 
     # -- introspection and fault injection -------------------------------
-    @property
-    def attached(self) -> int:
-        """Number of live replicas currently attached."""
-        return len(self.replicas)
-
-    def lags(self, primary_seq: int) -> List[int]:
-        """Per-replica journal-seq delta behind the primary (no wait)."""
+    def statistics(self, primary_seq: int) -> Optional[Dict[str, object]]:
+        """Counters and per-replica journal-seq lag behind the primary
+        (cheap: no waiting).  ``None``: this shard keeps no replicas."""
+        if not self.target:
+            return None
         for replica in list(self.replicas):
-            self._ack(replica)
-        return [
-            max(0, primary_seq - replica.applied_seq) for replica in self.replicas
-        ]
-
-    def statistics(self, primary_seq: int) -> Dict[str, object]:
-        """Counters and lag for reporting (cheap: no worker IPC)."""
+            if not replica.ack():
+                self._detach(replica)
         return {
             "target": self.target,
-            "attached": self.attached,
+            "attached": len(self.replicas),
             "reads_served": self.reads_served,
             "read_failovers": self.read_failovers,
             "reseeds": self.reseeds,
             "deaths": self.deaths,
-            "lag": self.lags(primary_seq),
+            "lag": [
+                max(0, primary_seq - replica.applied_seq) for replica in self.replicas
+            ],
         }
 
     def pids(self) -> List[int]:
         """OS pids of the live replica workers."""
-        return [replica.pid for replica in self.replicas]
+        return [replica.pid() for replica in self.replicas]
 
     def kill(self, index: int = 0) -> None:
         """SIGKILL one replica worker (fault injection; tests, tooling)."""
         if not self.replicas:
             raise ShardUnavailableError("no replica attached to kill")
-        os.kill(self.replicas[index % len(self.replicas)].pid, signal.SIGKILL)
+        self.replicas[index % len(self.replicas)].kill()
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Shut every replica pool down (idempotent)."""
+        """Retire the set: shut every replica down, keep none from now on."""
+        self.target = 0
+        for replica in self.replicas:
+            replica.shutdown()
+        self.replicas.clear()
+
+
+# ----------------------------------------------------------------------
+# The shard supervisor
+# ----------------------------------------------------------------------
+class ShardSupervisor:
+    """Supervised, engine-shaped front of one shard living in worker processes.
+
+    State-changing commands run on the primary; once it replied, the op is
+    recorded in the recovery source (re-anchored on a fresh primary
+    snapshot every ``snapshot_every`` ops) and forwarded to the replicas.
+    Reads round-robin across the replicas, failing over to the primary.
+
+    A worker death (``SIGKILL``, OOM, crash) is recovered, not propagated:
+    the freshest replica is promoted, else a worker is respawned from the
+    recovery source (bounded backoff), else — after ``max_respawns`` deaths
+    inside ``respawn_window`` seconds — the same source is built into an
+    in-process worker and the shard runs on serially in the parent:
+    *degraded*, slower, but alive.  Either way the in-flight command is
+    re-run **exactly once** (see :meth:`finish_batch`).
+    """
+
+    def __init__(
+        self,
+        engine_name: str,
+        engine_kwargs: Dict[str, object],
+        *,
+        snapshot_every: int = 32,
+        max_respawns: int = 3,
+        replicas: int = 0,
+        respawn_window: float = 60.0,
+        query_ids: Sequence[str] = (),
+        blob: Optional[bytes] = None,
+    ) -> None:
+        """``query_ids`` and ``blob``: a restored shard's registered ids and
+        engine snapshot (see :meth:`__getstate__`); a new shard has neither."""
+        self.name = engine_name
+        self._query_ids: List[str] = list(query_ids)
+        #: Worker snapshot cadence in acknowledged state-changing commands.
+        self.snapshot_every = snapshot_every
+        self.max_respawns = max_respawns
+        #: Sliding window (seconds) over which worker deaths count against
+        #: ``max_respawns`` — only death *bursts* degrade the shard.
+        self.respawn_window = respawn_window
+        self.replica_target = replicas
+        self.respawns = 0
+        self.promotions = 0
+        self.restarts = 0
+        self.replayed_ops = 0
+        self.degraded = False
+        self._respawn_times: List[float] = []
+        self._closed = False
+        self._source = RecoverySource(engine_name, engine_kwargs, blob)
+        self._primary: Worker = self._source.build()
+        self._replicas = ReplicaSet(self.replica_target)
+        self._replicas.replenish(self._source, initial=True)
+
+    # -- pickling (group snapshots) --------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle as constructor arguments: configuration, query ids and
+        the engine's snapshot blob — never workers or the op tail.
+        Checkpointing here is what lets a whole process-executor group be
+        snapshotted by the durability layer like any engine."""
+        self._checkpoint()
+        source = self._source
+        return {
+            "engine_name": self.name,
+            "engine_kwargs": source.engine_kwargs,
+            "snapshot_every": self.snapshot_every,
+            "max_respawns": self.max_respawns,
+            "replicas": self.replica_target,
+            "respawn_window": self.respawn_window,
+            "query_ids": self._query_ids,
+            "blob": source.blob,
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        """Unpickle through the constructor: a restored shard is built by
+        the same call as a new one."""
+        self.__init__(**state)
+
+    # -- command channel (supervised) ------------------------------------
+    def _supervised(self, command: Callable[[Worker], T]) -> T:
+        """Run ``command`` on the primary, recovering until it lands."""
+        while True:
+            if self._closed:
+                raise ShardUnavailableError(f"process shard {self.name!r} is closed")
+            try:
+                return command(self._primary)
+            except WorkerLost:
+                self._recover()
+
+    def _execute(self, op: str, *args):
+        return self._supervised(lambda primary: primary.call(op, *args))
+
+    def _checkpoint(self) -> None:
+        self._supervised(self._source.checkpoint)
+
+    def _acknowledge(self, op: str, args: Tuple) -> None:
+        """Record one state-changing command the primary replied to, and
+        replicate it.
+
+        Ops reach the recovery source and the replicas strictly *after*
+        the primary acknowledged them — the invariant promotion relies on:
+        a drained replica equals the primary's acknowledged state, never
+        more.  A degraded shard has no worker left to lose, so it stops
+        recording.
+        """
+        if self.degraded:
+            return
+        source = self._source
+        self._replicas.forward(source.record(op, args), op, args)
+        self._replicas.replenish(source)
+        if len(source.tail) >= self.snapshot_every:
+            self._checkpoint()
+
+    def _mutate(self, op: str, *args):
+        result = self._execute(op, *args)
+        self._acknowledge(op, args)
+        return result
+
+    def start_batch(self, updates: Sequence[Update]) -> Future:
+        """Send a batch command without waiting (the concurrent fan-out).
+
+        Pair with :meth:`finish_batch`, which collects the reply *and*
+        supervises: a worker that died before or during the batch is
+        recovered there and the batch re-run exactly once.
+        """
+        if self._closed:
+            raise ShardUnavailableError(f"process shard {self.name!r} is closed")
+        return self._primary.submit("batch", list(updates))
+
+    def finish_batch(
+        self, future: Future, updates: Sequence[Update]
+    ) -> Tuple[BatchReport, FrozenSet[str], float]:
+        """Collect a :meth:`start_batch` reply, recovering a dead worker.
+
+        The exactly-once argument: the worker's reply and its state mutation
+        live in the same process, so either both survived (reply collected,
+        batch acknowledged) or both died (a worker at the pre-batch state
+        takes over, batch re-run once via the supervised channel).
+        """
+        updates = list(updates)
+        try:
+            result = collect(future)
+        except WorkerLost:
+            self._recover()
+            result = self._execute("batch", updates)
+        self._acknowledge("batch", (updates,))
+        return result
+
+    # -- supervision policy ----------------------------------------------
+    def _recover(self) -> None:
+        """Replace a lost primary: promote, else respawn, else degrade."""
+        self._primary.shutdown()
+        replacement = self._promoted() or self._respawned()
+        if replacement is None:
+            replacement = self._source.build(in_process=True)
+            self.replayed_ops += len(self._source.tail)
+            self.degraded = True
+            # Replicas of a worker that no longer exists serve no reads.
+            self._replicas.close()
+        self._primary = replacement
+        self._replicas.replenish(self._source)
+
+    def _promoted(self) -> Optional[Worker]:
+        """The freshest replica, brought to the acknowledged sequence.
+
+        ``promote`` drains it first and ``catch_up`` refuses it on a
+        sequence gap against the recovery tail.  Re-anchoring the recovery
+        source on it proves it alive (an idle replica may have died
+        unobserved).  A replica lost on the way is dropped and the
+        next-freshest one tried.
+        """
+        while True:
+            replica = self._replicas.promote()
+            if replica is None:
+                return None
+            behind = self._source.seq - replica.applied_seq
+            try:
+                self._source.catch_up(replica)
+                self._source.checkpoint(replica)
+            except WorkerLost:
+                replica.shutdown()
+                continue
+            self.promotions += 1
+            self.replayed_ops += behind
+            return replica
+
+    def _respawned(self) -> Optional[Worker]:
+        """A worker respawned from the recovery source, budget permitting."""
+        while True:
+            # Sliding-window budget: deaths older than the window no longer
+            # count, so a long-lived deployment only degrades on a death
+            # *burst*, not on slow attrition.
+            now = time.monotonic()
+            self._respawn_times = [
+                stamp
+                for stamp in self._respawn_times
+                if now - stamp < self.respawn_window
+            ]
+            if len(self._respawn_times) >= self.max_respawns:
+                return None
+            self.respawns += 1
+            self._respawn_times.append(now)
+            # 50ms, 100ms, 200ms, ... capped — enough to ride out a
+            # transient (OOM-killer sweep, cgroup hiccup) without turning
+            # a hard failure into a long hang.
+            time.sleep(min(1.0, 0.05 * (2 ** (len(self._respawn_times) - 1))))
+            try:
+                worker = self._source.build()
+            except WorkerLost:
+                continue
+            self.replayed_ops += len(self._source.tail)
+            return worker
+
+    def restart(self) -> None:
+        """One rolling-restart step: checkpoint, build the replacement,
+        swap, retire the old worker.
+
+        The synchronous snapshot pull *is* the drain (the command channel
+        is FIFO) and leaves the replay tail empty.  The replacement worker
+        is built *before* the old one is shut down, so a failed restart
+        leaves the shard serving on the old worker.
+        """
+        self._checkpoint()
+        try:
+            replacement = self._source.build(in_process=self.degraded)
+        except WorkerLost as error:
+            raise PersistenceError(
+                f"rolling restart of shard {self.name!r} could not seed the "
+                "replacement worker; the old worker kept serving"
+            ) from error
+        retired, self._primary = self._primary, replacement
+        retired.shutdown(wait=True)
+        self.restarts += 1
+
+    # -- fault injection and introspection -------------------------------
+    def worker_pid(self) -> Optional[int]:
+        """OS pid of the live primary worker (``None`` once degraded)."""
+        return self._supervised(lambda primary: primary.pid())
+
+    def kill_worker(self) -> None:
+        """SIGKILL the primary worker process (fault injection).  The next
+        command observes the death and recovers — exactly the path a real
+        worker crash takes."""
+        self._supervised(lambda primary: primary.kill())
+
+    def replica_pids(self) -> List[int]:
+        """OS pids of the live replica workers (empty without replicas)."""
+        return self._replicas.pids()
+
+    def kill_replica(self, index: int = 0) -> None:
+        """SIGKILL one replica worker (fault injection).  The death is
+        observed at the replica's next interaction (a read or a forwarded
+        op): it is detached and replaced from the recovery source."""
+        self._replicas.kill(index)
+
+    def replication_info(self) -> Dict[str, object]:
+        """The shard's supervision report (cheap: no worker IPC)."""
+        seq = self._source.seq
+        return {
+            "respawns": self.respawns,
+            "promotions": self.promotions,
+            "restarts": self.restarts,
+            "replayed_ops": self.replayed_ops,
+            "degraded": self.degraded,
+            "ops_logged": len(self._source.tail),
+            "worker_snapshot": self._source.blob is not None,
+            "seq": seq,
+            "replicas": self._replicas.statistics(seq),
+        }
+
+    # -- the engine surface the group needs ------------------------------
+    @property
+    def num_queries(self) -> int:
+        return len(self._query_ids)
+
+    @property
+    def queries(self) -> Tuple[str, ...]:
+        """Ids registered on this shard (patterns live in the worker)."""
+        return tuple(self._query_ids)
+
+    def register(self, pattern: QueryGraphPattern) -> None:
+        self._mutate("register", pattern)
+        self._query_ids.append(pattern.query_id)
+
+    def backfill(self, updates: Sequence[Update]) -> None:
+        self._mutate("backfill", list(updates))
+
+    def _read(self, op: str, *args):
+        """Serve a read from a replica when one can, else from the primary."""
+        served, result = self._replicas.read(op, args)
+        if served:
+            return result
+        self._replicas.replenish(self._source)
+        return self._execute(op, *args)
+
+    def matches_of(self, query_id: str) -> List[Dict[str, str]]:
+        return self._read("matches_of", query_id)
+
+    def has_matches(self, query_id: str) -> bool:
+        return self._read("has_matches", query_id)
+
+    def answer_delta_source(self, query_id: str) -> None:
+        return None  # the maintained relation lives in the worker's address space
+
+    def describe(self) -> Dict[str, object]:
+        info = dict(self._read("describe"))
+        info["supervision"] = self.replication_info()
+        return info
+
+    def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for replica in self.replicas:
-            replica.pool.shutdown(wait=False)
-        self.replicas.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ReplicaSet({self.name!r}, target={self.target}, "
-            f"attached={self.attached})"
-        )
+        self._replicas.close()
+        self._primary.shutdown(wait=True)

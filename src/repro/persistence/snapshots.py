@@ -61,7 +61,9 @@ SNAPSHOT_MAGIC = b"REPROSNAP"
 #: Envelope format version (bumped on incompatible layout changes).
 #: 2: TRIC state lost its per-query binding relations (queries read the
 #: shared trie views) and relations record a delta log only for a reader.
-SNAPSHOT_VERSION = 2
+#: 3: process shards pickle as ``repro.persistence.replication.ShardSupervisor``
+#: and sharded groups carry no thread pool.
+SNAPSHOT_VERSION = 3
 
 #: Envelope header: magic, u16 version, u32 CRC32, u64 payload length.
 _HEADER = struct.Struct(">%dsHIQ" % len(SNAPSHOT_MAGIC))

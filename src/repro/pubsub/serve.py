@@ -28,6 +28,7 @@ from ..engines import available_engines, create_sharded_engine
 from ..graph.elements import Update, delete
 from ..graph.errors import ReproError
 from .broker import OverflowPolicy, SubscriptionBroker
+from .sharding import SHARD_EXECUTORS
 
 __all__ = ["main", "build_parser", "pick_subscribed", "parse_subscribe_spec"]
 
@@ -89,11 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--assignment", default="hash", choices=("hash", "label"),
                         help="shard assignment strategy (default hash)")
     parser.add_argument("--executor", default="serial",
-                        choices=("serial", "thread", "process"),
-                        help="shard fan-out executor: serial (in-process loop), "
-                        "thread (concurrent shard tasks on a thread pool), or "
-                        "process (one worker process per shard, true "
-                        "parallelism; default serial)")
+                        choices=SHARD_EXECUTORS,
+                        help="shard fan-out executor: serial (in-process loop) "
+                        "or process (one supervised worker process per shard, "
+                        "true parallelism; default serial)")
     parser.add_argument("--replicas", type=int, default=0, metavar="N",
                         help="process executor only: attach N replica workers "
                         "per shard — they absorb matches_of/describe reads, "
@@ -203,9 +203,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 0
     finally:
-        # Release executor resources (process-shard workers, thread pools,
-        # journal handles) on every exit path, including errors, signals
-        # and broken stdout pipes.
+        # Release executor resources (process-shard workers, journal
+        # handles) on every exit path, including errors, signals and
+        # broken stdout pipes.
         _restore_signal_handlers(previous_handlers)
         if engine is not None and hasattr(engine, "close"):
             engine.close()

@@ -156,17 +156,21 @@ class TestSnapshotEnvelope:
         with pytest.raises(SnapshotCorruptError):
             decode_snapshot(tampered)
 
-    def test_version_1_envelope_is_refused_with_a_typed_error(self):
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_older_envelope_versions_are_refused_with_a_typed_error(self, old):
         """Format 2 dropped the per-query binding copies and the unread
-        delta logs; a v1 payload would unpickle into attributes the code no
-        longer has, so it is refused at the envelope, not deserialised."""
-        assert SNAPSHOT_VERSION == 2
+        delta logs, format 3 moved the pickled process shard and dropped
+        the group's thread pool; an older payload would unpickle into
+        classes or attributes the code no longer has, so it is refused at
+        the envelope, not deserialised."""
+        assert SNAPSHOT_VERSION == 3
         blob = encode_snapshot("payload")
-        v1 = blob[:9] + (1).to_bytes(2, "big") + blob[11:]  # valid CRC, old version
-        with pytest.raises(SnapshotCorruptError, match="version 1"):
-            decode_snapshot(v1)
-        with pytest.raises(SnapshotCorruptError, match="version 1"):
-            ContinuousEngine.restore(v1)
+        stale = blob[:9] + old.to_bytes(2, "big") + blob[11:]  # valid CRC, old version
+        assert len(stale) == len(blob)  # header size unchanged
+        with pytest.raises(SnapshotCorruptError, match=f"version {old}"):
+            decode_snapshot(stale)
+        with pytest.raises(SnapshotCorruptError, match=f"version {old}"):
+            ContinuousEngine.restore(stale)
 
     def test_restore_engine_rejects_non_engines(self):
         with pytest.raises(SnapshotCorruptError):
@@ -857,7 +861,7 @@ class TestSupervisedProcessShards:
 # close() idempotency across executors (regression)
 # ----------------------------------------------------------------------
 class TestCloseIdempotency:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_double_close_and_context_manager(self, executor, hard_timeout):
         group = ShardedEngineGroup("TRIC+", 2, executor=executor)
         group.register_all(patterns())
@@ -866,16 +870,6 @@ class TestCloseIdempotency:
             pass  # __exit__ closes once
         group.close()  # explicit second close must not raise
         group.close()
-
-    def test_thread_pool_unusable_after_close(self):
-        from repro.graph.errors import EngineError
-
-        group = ShardedEngineGroup("TRIC+", 2, executor="thread")
-        group.register_all(patterns())
-        group.on_batch(interleaved_stream(10))
-        group.close()
-        with pytest.raises(EngineError):
-            group._pool()
 
 
 # ----------------------------------------------------------------------
