@@ -5,8 +5,8 @@ sub-trie from the base views and dropping the TRIC+ caches wholesale.  The
 unified delta pipeline instead propagates deletions down the tries as
 negative deltas (counting-based incremental maintenance) and patches every
 cache through the views' signed delta logs; the legacy rebuild strategy has
-since been removed entirely (the seed-vs-current comparison lives in
-``benchmarks/bench_hotpath.py``).  This benchmark replays a deletion-heavy
+since been removed entirely (the last seed-vs-current comparison is frozen
+in ``BENCH_hotpath.json``).  This benchmark replays a deletion-heavy
 SNB stream (~45 % deletions after warm-up) through the base and
 answer-materialising engine tiers and through micro-batch sizes
 {1, 16, 256}, printing the total answering time of each configuration and
@@ -28,7 +28,7 @@ from repro.bench.experiments import build_stream, build_workload
 from repro.engines import create_engine
 from repro.graph.elements import Update, delete
 from repro.query.generator import QueryWorkload
-from repro.streams import StreamRunner
+from repro.streams import replay
 from repro.streams.report import format_table
 
 #: Batch sizes compared by the micro-batch benchmark.
@@ -73,12 +73,12 @@ def _replay(
     an assertion on CI runners at tiny scales.
     """
     best, satisfied = float("inf"), frozenset()
+    ticks = [updates[i : i + batch_size] for i in range(0, len(updates), batch_size)]
     for _ in range(repeats):
         engine = create_engine(engine_name, **engine_kwargs)
-        runner = StreamRunner(engine, batch_size=batch_size)
-        runner.index_queries(workload.queries)
+        engine.register_all(workload.queries)
         start = time.perf_counter()
-        runner.replay(updates)
+        replay(engine, ticks)
         best = min(best, time.perf_counter() - start)
         satisfied = engine.satisfied_queries()
     return best, satisfied

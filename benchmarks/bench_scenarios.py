@@ -11,10 +11,10 @@ gates every cell on the golden-reference principle: the replay transcript
 A cell that is fast but wrong fails the suite, not the assertion
 tolerance.
 
-Each cell records throughput and p50/p95/p99 tick latency; the soak cells
-additionally record the interner's live-id count (the append-only-interner
-growth measurement from ROADMAP item 3).  Results land in the
-``scenario_matrix`` section of ``BENCH_hotpath.json``.
+Each scenario prints one summary line naming the fastest oracle-identical
+engine (throughput over the summed tick latencies).  Nothing is written to
+disk: the ``scenario_matrix`` section of ``BENCH_hotpath.json`` is a frozen
+record of the last cells measured before the matrix stopped writing it.
 
 Environment knobs (all optional):
 
@@ -33,18 +33,13 @@ collection)::
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from typing import Dict, List
 
 from repro.bench.configs import bench_scale_from_env
 from repro.bench.workloads import SCENARIOS, generate_workload, run_workload
 from repro.engines import ENGINE_FACTORIES
 from repro.graph.errors import BenchmarkError
-
-#: Where the committed performance trajectory lives (repository root).
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_hotpath.json"
 
 #: The string oracle every cell is gated against.
 ORACLE = "Naive"
@@ -68,17 +63,6 @@ def _csv_env(variable: str, default: List[str], universe: List[str]) -> List[str
     return names
 
 
-def _write_json(payload: Dict) -> None:
-    existing = {}
-    if RESULT_PATH.exists():
-        try:
-            existing = json.loads(RESULT_PATH.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            existing = {}
-    existing.update(payload)
-    RESULT_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def test_scenario_matrix_oracle_verified():
     """Every engine x scenario cell must replay byte-identical to the oracle."""
     scale = bench_scale_from_env(default=DEFAULT_SCALE)
@@ -89,14 +73,13 @@ def test_scenario_matrix_oracle_verified():
         "REPRO_SCENARIO_SCENARIOS", list(SCENARIOS), list(SCENARIOS)
     )
 
-    matrix: Dict[str, Dict] = {}
     for scenario_name in scenario_names:
         spec = SCENARIOS[scenario_name].scaled(scale)
         workload = generate_workload(spec)
         oracle_result = run_workload(workload, ORACLE)
         oracle_digest = oracle_result.transcript_digest()
 
-        cells: Dict[str, Dict] = {ORACLE: oracle_result.as_dict()}
+        throughput: Dict[str, float] = {ORACLE: oracle_result.updates_per_s}
         for engine_name in engines:
             if engine_name == ORACLE:
                 continue
@@ -107,22 +90,12 @@ def test_scenario_matrix_oracle_verified():
                 f"scenario {scenario_name!r} (digest {result.transcript_digest()[:16]} "
                 f"vs {oracle_digest[:16]})"
             )
-            cells[engine_name] = result.as_dict()
+            throughput[engine_name] = result.updates_per_s
 
-        matrix[scenario_name] = {
-            "workload": workload.describe(),
-            "oracle_digest": oracle_digest[:16],
-            "engines": cells,
-        }
-        fastest = max(
-            (name for name in cells),
-            key=lambda name: cells[name]["updates_per_s"],
-        )
+        fastest = max(throughput, key=throughput.__getitem__)
         print(
             f"[{scenario_name}] {len(workload.stream)} updates / "
             f"{workload.num_ticks} ticks, {len(workload.queries)} queries — "
-            f"all {len(cells)} engines oracle-identical; fastest: {fastest} "
-            f"({cells[fastest]['updates_per_s']:.0f} upd/s)"
+            f"all {len(throughput)} engines oracle-identical; fastest: {fastest} "
+            f"({throughput[fastest]:.0f} upd/s)"
         )
-
-    _write_json({"scenario_matrix": {"scale": scale, "scenarios": matrix}})

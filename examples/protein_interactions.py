@@ -22,9 +22,9 @@ Run with::
 
 from __future__ import annotations
 
-from repro import QueryBuilder, TRICEngine, TRICPlusEngine, create_engine
+from repro import QueryBuilder, SubscriptionBroker, create_engine
 from repro.datasets import BioGridConfig, BioGridGenerator
-from repro.streams import StreamRunner, format_replay_results
+from repro.streams import format_replay_results, replay
 
 PROTEIN_OF_INTEREST = "protein7"
 
@@ -66,16 +66,16 @@ def main() -> None:
     deltas_delivered = 0
     for name in ("TRIC+", "TRIC", "INV"):
         engine = create_engine(name)
-        runner = StreamRunner(engine, time_budget_s=120)
-        runner.index_queries(queries)
-        # Subscribe to every motif on the fastest engine: the broker
-        # delivers the appearing/disappearing embeddings as match deltas.
-        # ``block`` keeps delivery lossless (we drain once, after the
-        # replay, and want the *first* appearance of each motif).
-        subscription = (
-            runner.subscribe(policy="block") if name == "TRIC+" else None
-        )
-        results.append(runner.replay(stream))
+        engine.register_all(queries)
+        target, subscription = engine, None
+        if name == "TRIC+":
+            # Subscribe to every motif on the fastest engine: the broker
+            # delivers the appearing/disappearing embeddings as match deltas.
+            # ``block`` keeps delivery lossless (we drain once, after the
+            # replay, and want the *first* appearance of each motif).
+            target = SubscriptionBroker(engine)
+            subscription = target.subscribe(policy="block")
+        results.append(replay(target, [[update] for update in stream], time_budget_s=120))
         if subscription is not None:
             for delta in subscription.drain():
                 deltas_delivered += 1

@@ -10,7 +10,7 @@ place.  Run with::
 from __future__ import annotations
 
 from repro import QueryBuilder, SubscriptionBroker, TRICPlusEngine, add
-from repro.streams import StreamRunner
+from repro.streams import replay
 
 
 def main() -> None:
@@ -36,16 +36,15 @@ def main() -> None:
     broker = SubscriptionBroker(engine)
     inbox = broker.subscribe("quickstart", ["friends-checkin"])
 
-    # 4. Feed the graph stream.  The runner measures answering time and
-    #    routes every update through the broker.
-    runner = StreamRunner(broker=broker)
+    # 4. Feed the graph stream, one update per tick.  The replay measures
+    #    answering time and routes every tick through the broker.
     stream = [
         add("knows", "P1", "P2"),
         add("checksIn", "P1", "rio"),
         add("checksIn", "P3", "rio"),
         add("checksIn", "P2", "rio"),  # completes the pattern for (P1, P2)
     ]
-    result = runner.replay(stream)
+    result = replay(broker, [[update] for update in stream])
 
     # 5. Inspect the outcome.
     print("updates processed:     ", result.updates_processed)

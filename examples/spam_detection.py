@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 
 from repro import NaiveEngine, QueryBuilder, TRICPlusEngine, add
-from repro.streams import StreamRunner, format_replay_results
+from repro.streams import format_replay_results, replay
 
 FLAGGED_DOMAIN = "flagged.example.org"
 
@@ -80,9 +80,8 @@ def main() -> None:
     results = []
     engines = {}
     for engine in (TRICPlusEngine(), NaiveEngine()):
-        runner = StreamRunner(engine)
-        runner.index_queries(queries)
-        results.append(runner.replay(stream))
+        engine.register_all(queries)
+        results.append(replay(engine, [[update] for update in stream]))
         engines[engine.name] = engine
 
     print(format_replay_results(results))

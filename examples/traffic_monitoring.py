@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro import QueryBuilder, create_engine
 from repro.datasets import TaxiConfig, TaxiGenerator
-from repro.streams import StreamRunner, format_replay_results
+from repro.streams import format_replay_results, replay
 
 AIRPORT_ZONE = "zone_0_0"
 
@@ -62,9 +62,8 @@ def main() -> None:
     matches_per_engine = {}
     for name in ("TRIC+", "TRIC", "INC", "GraphDB"):
         engine = create_engine(name)
-        runner = StreamRunner(engine, time_budget_s=60)
-        runner.index_queries(queries)
-        results.append(runner.replay(stream))
+        engine.register_all(queries)
+        results.append(replay(engine, [[update] for update in stream], time_budget_s=60))
         matches_per_engine[name] = {
             query.query_id: len(engine.matches_of(query.query_id)) for query in queries
         }

@@ -64,7 +64,6 @@ from .persistence import (
 )
 from .pubsub import (
     MatchDelta,
-    NotificationLog,
     OverflowPolicy,
     ShardedEngineGroup,
     Subscription,
@@ -129,7 +128,6 @@ __all__ = [
     "MatchDelta",
     "OverflowPolicy",
     "ShardedEngineGroup",
-    "NotificationLog",
     # durability & crash recovery
     "DurableEngine",
     "DeltaJournal",

@@ -20,7 +20,6 @@ from .workloads import (
     SCENARIOS,
     ChurnEvent,
     SyntheticWorkload,
-    WorkloadRunResult,
     WorkloadSpec,
     generate_workload,
     run_workload,
@@ -32,7 +31,6 @@ __all__ = [
     "SCENARIOS",
     "ChurnEvent",
     "SyntheticWorkload",
-    "WorkloadRunResult",
     "WorkloadSpec",
     "generate_workload",
     "run_workload",

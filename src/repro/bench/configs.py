@@ -5,9 +5,9 @@ average query size ``l = 5``, selectivity ``σ = 25 %``, overlap ``o = 35 %``,
 graph sizes from 10K to 10M edges, and a 24-hour time budget per algorithm.
 
 Running that verbatim on a pure-Python laptop-scale build is unrepresentative
-(see DESIGN.md), so every experiment is parameterised by a ``scale`` factor
-applied to the stream length, the query-database size and the per-engine time
-budget.  ``scale=1.0`` corresponds to the repository's *reference* size
+(a single Python process, no JIT), so every experiment is parameterised by a
+``scale`` factor applied to the stream length, the query-database size and
+the per-engine time budget.  ``scale=1.0`` corresponds to the repository's *reference* size
 (already much smaller than the paper's raw numbers); the pytest benchmark
 suite uses a smaller scale so the whole figure set regenerates in minutes.
 """

@@ -17,6 +17,7 @@ value.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,10 +25,11 @@ from ..datasets import BioGridConfig, BioGridGenerator, SNBConfig, SNBGenerator,
 from ..engines import create_engine, create_sharded_engine
 from ..graph.errors import BenchmarkError
 from ..graph.stream import GraphStream
+from ..pubsub.broker import SubscriptionBroker
 from ..query.generator import QueryWorkload, QueryWorkloadConfig, QueryWorkloadGenerator
 from ..streams.metrics import deep_sizeof
 from ..streams.report import format_table
-from ..streams.runner import ReplayResult, StreamRunner
+from ..streams.runner import ReplayResult, replay
 from .configs import ExperimentConfig
 
 __all__ = [
@@ -150,7 +152,7 @@ class ExperimentResult:
         return header + "\n" + format_table(headers, rows)
 
     def to_markdown(self) -> str:
-        """Markdown table used when updating EXPERIMENTS.md."""
+        """The series as a Markdown table (one row per x value)."""
         engines = self.engines()
         by_key = {(p.x, p.engine): p for p in self.points}
         lines = [
@@ -256,8 +258,8 @@ def _replay_engine(
     subscribe: int = 0,
     shards: int = 1,
     executor: str = "serial",
-) -> Tuple[ReplayResult, float]:
-    """Index the workload, replay the stream; returns (result, indexing seconds).
+) -> ReplayResult:
+    """Index the workload and replay the stream in ``batch_size`` ticks.
 
     With ``shards > 1`` the query database is partitioned across a
     :class:`~repro.pubsub.sharding.ShardedEngineGroup` (fanning batches out
@@ -267,20 +269,24 @@ def _replay_engine(
     """
     engine = create_sharded_engine(engine_name, shards, executor=executor)
     try:
-        runner = StreamRunner(
-            engine,
-            time_budget_s=time_budget_s,
-            batch_size=batch_size,
-            poll_every=poll_every,
-        )
-        indexing_s = runner.index_queries(workload.queries)
+        engine.register_all(workload.queries)
+        target = engine
         if subscribe > 0:
-            runner.subscribe(pick_subscribed_queries(list(engine.queries), subscribe))
-        result = runner.replay(stream, measure_memory=measure_memory)
+            target = SubscriptionBroker(engine)
+            target.subscribe(None, pick_subscribed_queries(list(engine.queries), subscribe))
+        updates = list(stream)
+        result = replay(
+            target,
+            (updates[i : i + batch_size] for i in range(0, len(updates), batch_size)),
+            poll_every=poll_every,
+            time_budget_s=time_budget_s,
+        )
+        if measure_memory:
+            result.memory_bytes = deep_sizeof(engine)
     finally:
         if hasattr(engine, "close"):
             engine.close()
-    return result, indexing_s
+    return result
 
 
 def _checkpoint_positions(total: int, num_points: int) -> List[int]:
@@ -343,7 +349,7 @@ def _graph_size_sweep(
     )
     checkpoints = _checkpoint_positions(len(stream), config.num_points)
     for engine_name in config.engines:
-        replay, _ = _replay_engine(
+        run = _replay_engine(
             engine_name,
             workload,
             stream,
@@ -353,25 +359,26 @@ def _graph_size_sweep(
             poll_every=config.poll_every,
             subscribe=config.subscribe,
             shards=config.shards,
+            executor=config.executor,
         )
-        samples = replay.answering.samples
+        samples = run.answering.samples
         for checkpoint in checkpoints:
-            reached = checkpoint <= replay.updates_processed
+            reached = checkpoint <= run.updates_processed
             result.points.append(
                 SeriesPoint(
                     x=checkpoint,
                     engine=engine_name,
                     answering_ms=_running_mean_ms(
-                        samples, checkpoint, config.batch_size, replay.updates_processed
+                        samples, checkpoint, config.batch_size, run.updates_processed
                     ),
                     memory_mb=(
-                        replay.memory_bytes / (1024 * 1024)
-                        if replay.memory_bytes is not None
+                        run.memory_bytes / (1024 * 1024)
+                        if run.memory_bytes is not None
                         else None
                     ),
                     timed_out=not reached,
-                    updates_processed=min(checkpoint, replay.updates_processed),
-                    matched_updates=replay.matched_updates,
+                    updates_processed=min(checkpoint, run.updates_processed),
+                    matched_updates=run.matched_updates,
                 )
             )
     return result
@@ -404,7 +411,7 @@ def _parameter_sweep(
             seed=config.seed + 1,
         )
         for engine_name in config.engines:
-            replay, _ = _replay_engine(
+            run = _replay_engine(
                 engine_name,
                 workload,
                 stream,
@@ -420,10 +427,10 @@ def _parameter_sweep(
                 SeriesPoint(
                     x=value,
                     engine=engine_name,
-                    answering_ms=replay.answering_time_ms_per_update,
-                    timed_out=replay.timed_out,
-                    updates_processed=replay.updates_processed,
-                    matched_updates=replay.matched_updates,
+                    answering_ms=run.answering_time_ms_per_update,
+                    timed_out=run.timed_out,
+                    updates_processed=run.updates_processed,
+                    matched_updates=run.matched_updates,
                 )
             )
     return result
@@ -526,13 +533,14 @@ def experiment_fig13b(config: ExperimentConfig) -> ExperimentResult:
     )
     for engine_name in config.engines:
         engine = create_engine(engine_name)
-        runner = StreamRunner(engine)
         registered = 0
         for start in range(0, len(workload.queries), batch_size):
             batch = workload.queries[start : start + batch_size]
             if not batch:
                 continue
-            elapsed = runner.index_queries(batch)
+            started = time.perf_counter()
+            engine.register_all(batch)
+            elapsed = time.perf_counter() - started
             registered += len(batch)
             result.points.append(
                 SeriesPoint(
@@ -565,7 +573,7 @@ def experiment_fig13c(config: ExperimentConfig) -> ExperimentResult:
             seed=config.seed + 1,
         )
         for engine_name in config.engines:
-            replay, _ = _replay_engine(
+            run = _replay_engine(
                 engine_name,
                 workload,
                 stream,
@@ -578,16 +586,16 @@ def experiment_fig13c(config: ExperimentConfig) -> ExperimentResult:
                 executor=config.executor,
             )
             memory_mb = (
-                replay.memory_bytes / (1024 * 1024) if replay.memory_bytes is not None else None
+                run.memory_bytes / (1024 * 1024) if run.memory_bytes is not None else None
             )
             result.points.append(
                 SeriesPoint(
                     x=dataset,
                     engine=engine_name,
-                    answering_ms=replay.answering_time_ms_per_update,
+                    answering_ms=run.answering_time_ms_per_update,
                     memory_mb=memory_mb,
-                    timed_out=replay.timed_out,
-                    updates_processed=replay.updates_processed,
+                    timed_out=run.timed_out,
+                    updates_processed=run.updates_processed,
                 )
             )
     return result

@@ -1,8 +1,7 @@
 """Figure metadata: what each experiment reproduces and the expected shape.
 
-Used by the CLI (to print the context of a regenerated figure) and by the
-EXPERIMENTS.md documentation, which records paper-vs-measured observations
-for every figure.
+Used by the CLI to print, beside each regenerated figure, the paper's
+observation and the expected shape to compare the measured series with.
 """
 
 from __future__ import annotations

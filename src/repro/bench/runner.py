@@ -143,8 +143,8 @@ def run_workloads(
             divergent = divergent or not identical
             print(
                 f"{engine_name:10s} {result.updates_per_s:10.0f} "
-                f"{result.tick_latency.p50_ms:9.3f} {result.tick_latency.p95_ms:9.3f} "
-                f"{result.tick_latency.p99_ms:9.3f}  "
+                f"{result.answering.p50_ms:9.3f} {result.answering.p95_ms:9.3f} "
+                f"{result.answering.p99_ms:9.3f}  "
                 f"{'identical' if identical else 'DIVERGED'}"
             )
         print()

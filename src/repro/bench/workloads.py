@@ -53,20 +53,20 @@ import hashlib
 import json
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..graph.elements import Update, add, delete
 from ..graph.errors import BenchmarkError
 from ..graph.stream import GraphStream
+from ..pubsub.broker import SubscriptionBroker
 from ..query.pattern import QueryGraphPattern
-from ..streams.metrics import TimingStats
+from ..streams.runner import ReplayResult, replay
 
 __all__ = [
     "WorkloadSpec",
     "ChurnEvent",
     "SyntheticWorkload",
-    "WorkloadRunResult",
     "SCENARIOS",
     "scenario_names",
     "scenario_spec",
@@ -506,8 +506,9 @@ def generate_workload(spec: WorkloadSpec) -> SyntheticWorkload:
 # ----------------------------------------------------------------------
 #: The published scenario matrix rows.  Every engine runs every scenario
 #: in ``benchmarks/bench_scenarios.py`` with the transcript asserted
-#: byte-identical to the string oracle; the measured cells live in the
-#: ``scenario_matrix`` section of ``BENCH_hotpath.json``.
+#: byte-identical to the string oracle; the last cells measured before that
+#: benchmark stopped writing files stay in the ``scenario_matrix`` section
+#: of the frozen ``BENCH_hotpath.json`` record.
 SCENARIOS: Dict[str, WorkloadSpec] = {
     "insert_heavy": WorkloadSpec(
         name="insert_heavy",
@@ -590,56 +591,6 @@ def scenario_spec(name: str) -> WorkloadSpec:
 # ----------------------------------------------------------------------
 # Replay + oracle transcript
 # ----------------------------------------------------------------------
-@dataclass
-class WorkloadRunResult:
-    """Outcome of replaying one workload through one engine."""
-
-    engine: str
-    workload: str
-    num_updates: int
-    num_ticks: int
-    indexing_time_s: float
-    tick_latency: TimingStats = field(default_factory=TimingStats)
-    total_seconds: float = 0.0
-    deltas_delivered: int = 0
-    churn_applied: int = 0
-    #: Canonical serialisation of per-tick notified ids + final answers of
-    #: every registered query — the byte-identity surface vs the oracle.
-    transcript: str = ""
-    #: ``describe()["interner"]`` of the engine after the replay, when the
-    #: engine exposes one (the soak cell's growth measurement).
-    interner: Optional[Dict[str, int]] = None
-
-    @property
-    def updates_per_s(self) -> float:
-        """Replay throughput in updates per second."""
-        if self.total_seconds <= 0:
-            return 0.0
-        return self.num_updates / self.total_seconds
-
-    def transcript_digest(self) -> str:
-        """SHA-256 of the transcript (what the matrix compares)."""
-        return hashlib.sha256(self.transcript.encode("utf-8")).hexdigest()
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat cell dictionary for the ``scenario_matrix`` BENCH section."""
-        cell: Dict[str, object] = {
-            "updates_per_s": round(self.updates_per_s, 1),
-            "p50_ms": round(self.tick_latency.p50_ms, 4),
-            "p95_ms": round(self.tick_latency.p95_ms, 4),
-            "p99_ms": round(self.tick_latency.p99_ms, 4),
-            "ticks": self.num_ticks,
-            "indexing_s": round(self.indexing_time_s, 4),
-        }
-        if self.deltas_delivered:
-            cell["deltas_delivered"] = self.deltas_delivered
-        if self.churn_applied:
-            cell["churn_applied"] = self.churn_applied
-        if self.interner is not None:
-            cell["interner_live_ids"] = self.interner.get("live_ids")
-        return cell
-
-
 def _transcript(engine, per_tick_notified: List[List[str]]) -> str:
     """Canonical transcript: notified ids per tick + every final answer."""
     answers = {
@@ -658,71 +609,40 @@ def run_workload(
     *,
     shards: int = 1,
     executor: str = "serial",
-    policy: str = "block",
-    capacity: int = 1 << 16,
-) -> WorkloadRunResult:
+) -> ReplayResult:
     """Replay ``workload`` through engine ``engine_name`` and measure it.
 
     The stream is driven tick by tick along the workload's batch plan.
     When the spec churns subscriptions the replay runs broker-subscribed:
     each churn event creates or tears down a single-query subscription
-    *between* ticks, exactly as the generated plan dictates (``policy`` /
-    ``capacity`` configure those subscriptions).  The result carries the
-    canonical transcript for oracle comparison.
+    *between* ticks, exactly as the generated plan dictates.  The result
+    carries the canonical transcript for oracle comparison.
     """
-    import time
-
     from ..engines import create_sharded_engine
 
     engine = create_sharded_engine(engine_name, shards, executor=executor)
-    result = WorkloadRunResult(
-        engine=engine_name,
-        workload=workload.spec.name,
-        num_updates=len(workload.stream),
-        num_ticks=workload.num_ticks,
-        indexing_time_s=0.0,
-    )
     try:
-        start = time.perf_counter()
         engine.register_all(workload.queries)
-        result.indexing_time_s = time.perf_counter() - start
-
-        broker = None
+        broker = SubscriptionBroker(engine) if workload.churn else None
         subscriptions: Dict[str, str] = {}  # query id -> subscription name
-        if workload.churn:
-            from ..pubsub.broker import SubscriptionBroker
-
-            broker = SubscriptionBroker(engine, default_policy=policy, default_capacity=capacity)
-
         per_tick_notified: List[List[str]] = []
-        replay_start = time.perf_counter()
-        for tick_index, chunk in enumerate(workload.iter_ticks()):
-            tick_start = time.perf_counter()
-            if broker is not None:
-                tick = broker.on_batch(chunk)
-                notified = tick.notified
-                result.deltas_delivered += tick.delivered
-            else:
-                notified = engine.on_batch(chunk)
-            result.tick_latency.record(time.perf_counter() - tick_start)
+
+        def on_tick(index: int, tick: Sequence[Update], notified) -> None:
             per_tick_notified.append(sorted(notified))
-            if broker is not None:
-                for event in workload.churn_at(tick_index):
-                    result.churn_applied += 1
-                    if event.action == "subscribe":
-                        name = f"churn-{event.query_id}-{tick_index}"
-                        broker.subscribe(name, [event.query_id])
-                        subscriptions[event.query_id] = name
-                    else:
-                        name = subscriptions.pop(event.query_id, None)
-                        if name is not None:
-                            broker.unsubscribe(name)
-        result.total_seconds = time.perf_counter() - replay_start
+            if broker is None:
+                return
+            for event in workload.churn_at(index):
+                if event.action == "subscribe":
+                    name = f"churn-{event.query_id}-{index}"
+                    broker.subscribe(name, [event.query_id])
+                    subscriptions[event.query_id] = name
+                else:
+                    name = subscriptions.pop(event.query_id, None)
+                    if name is not None:
+                        broker.unsubscribe(name)
+
+        result = replay(broker or engine, workload.iter_ticks(), on_tick=on_tick)
         result.transcript = _transcript(engine, per_tick_notified)
-        description = engine.describe()
-        interner = description.get("interner")
-        if isinstance(interner, dict):
-            result.interner = dict(interner)
     finally:
         if hasattr(engine, "close"):
             engine.close()

@@ -86,9 +86,9 @@ class TRICEngine(ContinuousEngine):
         Require injective (isomorphism) answer semantics.
     interner:
         Vertex encoding used by the base views (dictionary-encoded dense
-        ints by default; benchmarks inject a
-        :class:`~repro.graph.interning.NullInterner` to replay the string
-        pipeline, and callers may share one interner across engines).
+        ints by default; a :class:`~repro.graph.interning.NullInterner`
+        replays the string pipeline, and callers may share one interner
+        across engines).
     """
 
     name = "TRIC"

@@ -5,8 +5,8 @@ The paper evaluates on three datasets: the LDBC Social Network Benchmark
 interactions (real).  None of the real dumps are redistributable or
 available offline, so each dataset is substituted by a seeded generator that
 produces an update stream with the same *structural characteristics* the
-evaluation relies on (edge-label alphabet, skew, vertex reuse); DESIGN.md
-documents each substitution.
+evaluation relies on (edge-label alphabet, skew, vertex reuse); each
+generator's module docstring documents its substitution.
 """
 
 from __future__ import annotations

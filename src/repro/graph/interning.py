@@ -14,9 +14,10 @@ surface (``matches_of``, reports).  This is the dictionary-encoding move of
 inverted-index systems: probes become proportional to the posting list, and
 equality checks become single-word comparisons.
 
-:class:`NullInterner` is a drop-in identity encoder used by the comparison
-benchmarks (``benchmarks/bench_hotpath.py``) to replay the pre-interning
-string pipeline through the same code paths.
+:class:`NullInterner` is a drop-in identity encoder: an engine built with
+it replays the pre-interning string pipeline through the same code paths
+(the baseline of the interning rows in the frozen ``BENCH_hotpath.json``
+record).
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ subscribed deltas as JSON lines.
 from .broker import (
     BrokerTick,
     MatchDelta,
-    NotificationLog,
     OverflowPolicy,
     Subscription,
     SubscriptionBroker,
@@ -26,7 +25,6 @@ __all__ = [
     "AnswerDeltaTracker",
     "BrokerTick",
     "MatchDelta",
-    "NotificationLog",
     "OverflowPolicy",
     "ShardedEngineGroup",
     "Subscription",

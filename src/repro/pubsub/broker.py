@@ -55,7 +55,6 @@ __all__ = [
     "Subscription",
     "BrokerTick",
     "SubscriptionBroker",
-    "NotificationLog",
     "replay_deltas",
 ]
 
@@ -338,8 +337,8 @@ class SubscriptionBroker:
         #: When ``True`` (the default) :meth:`flush` consults the engine's
         #: :class:`~repro.core.engine.BatchReport` and skips watched queries
         #: the batch provably did not touch.  ``False`` restores the
-        #: flush-everything behaviour (the comparison baseline for
-        #: ``benchmarks/bench_hotpath.py``'s ``affected_flush`` section).
+        #: flush-everything behaviour (the baseline the ``affected_flush``
+        #: section of the frozen ``BENCH_hotpath.json`` record compares with).
         self.affected_flush = affected_flush
         self._tracker = AnswerDeltaTracker(engine)
         self._subscriptions: Dict[str, Subscription] = {}
@@ -628,63 +627,3 @@ class SubscriptionBroker:
             f"subscriptions={len(self._subscriptions)}, "
             f"watched={len(self._watchers)})"
         )
-
-
-class NotificationLog:
-    """Recording listener: legacy match notifications and/or broker deltas.
-
-    This is the former ``repro.streams.report.NotificationLog`` folded into
-    the pub/sub subsystem.  It still works as a bare
-    :data:`~repro.streams.runner.MatchListener` (``log(update, matched)``
-    records ``(timestamp, edge, queries)`` entries — the deprecated
-    :class:`~repro.streams.runner.StreamRunner` listener path), and it now
-    doubles as a trivial *subscribe-to-all* adapter: :meth:`attach`
-    subscribes it to every registered query of a broker's engine and every
-    delivered :class:`MatchDelta` is appended to :attr:`deltas`.
-    """
-
-    def __init__(self) -> None:
-        self.notifications: List[Dict[str, object]] = []
-        self.deltas: List[MatchDelta] = []
-        self.subscription: Optional[Subscription] = None
-
-    # Legacy MatchListener surface -------------------------------------
-    def __call__(self, update, matched) -> None:
-        self.notifications.append(
-            {
-                "timestamp": update.timestamp,
-                "edge": str(update.edge),
-                "queries": sorted(matched),
-            }
-        )
-
-    # Broker subscriber surface ----------------------------------------
-    def attach(
-        self,
-        broker: SubscriptionBroker,
-        *,
-        name: str = "notification-log",
-        query_ids: Optional[Iterable[str]] = None,
-        labels: Optional[Iterable[str]] = None,
-    ) -> Subscription:
-        """Subscribe this log to ``broker`` (all registered queries by
-        default) in push mode; returns the created subscription."""
-        self.subscription = broker.subscribe(
-            name, query_ids, labels=labels, callback=self.deltas.append
-        )
-        return self.subscription
-
-    def __len__(self) -> int:
-        return len(self.notifications) + len(self.deltas)
-
-    def queries_notified(self) -> List[str]:
-        """Distinct query ids seen so far (notifications, then deltas)."""
-        seen: List[str] = []
-        for record in self.notifications:
-            for query_id in record["queries"]:
-                if query_id not in seen:
-                    seen.append(query_id)
-        for delta in self.deltas:
-            if delta.query_id not in seen:
-                seen.append(delta.query_id)
-        return seen

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..engines import available_engines, create_sharded_engine
 from ..graph.elements import Update, delete
 from ..graph.errors import ReproError
+from ..streams.runner import replay
 from .broker import OverflowPolicy, SubscriptionBroker
 from .sharding import SHARD_EXECUTORS
 
@@ -41,8 +42,8 @@ class _ShutdownRequested(Exception):
         self.reason = signal.Signals(signum).name
 
 
-#: Set by the SIGHUP handler, consumed at the next batch boundary of the
-#: replay loop: the operator's request for a zero-loss rolling restart.
+#: Set by the SIGHUP handler, consumed at the next tick boundary of the
+#: replay: the operator's request for a zero-loss rolling restart.
 _SIGHUP_PENDING = {"flag": False}
 
 
@@ -215,8 +216,8 @@ def _install_signal_handlers():
     """Route SIGINT/SIGTERM into :class:`_ShutdownRequested` for the replay.
 
     SIGHUP is different: it does not interrupt anything — the handler only
-    flags a pending rolling restart, which the replay loop performs at the
-    next batch boundary (where no delta frame is in flight).
+    flags a pending rolling restart, which the replay performs at the next
+    tick boundary (where no delta frame is in flight).
 
     Returns the previous handlers for :func:`_restore_signal_handlers` (so
     in-process callers — the tests — leave no global state behind).  A
@@ -337,49 +338,46 @@ def _serve(args, engine, workload, stream) -> int:
     )
 
     updates = _churned(list(stream), args.deletions, args.seed + 2)
-    printed = 0
-    delivered = changes = 0
-    consumed = 0
-    tick = 0
-    rolling_restarts = 0
+    printed = delivered = changes = consumed = rolling_restarts = 0
     shutdown: Optional[str] = None
-    out = sys.stdout
     # Failover visibility: proxy-side replication counters are sampled
     # after every tick (cheap — no worker IPC) and any change is reported
     # to stderr as one event line, so operators see promotions, respawns
     # and reseeds as they happen rather than only in the final summary.
     last_health_key = _health_key(_replication_health(engine))
-    replay_start = time.perf_counter()
-    try:
-        for start in range(0, len(updates), args.batch_size):
+
+    def on_tick(index: int, tick: Sequence[Update], notified) -> None:
+        nonlocal printed, delivered, changes, consumed, last_health_key
+        consumed += len(tick)
+        for matched in subscription.drain():
+            delivered += 1
+            changes += matched.num_changes
+            if args.max_deltas is None or printed < args.max_deltas:
+                print(json.dumps(matched.as_dict(), sort_keys=True))
+                printed += 1
+        health = _replication_health(engine)
+        health_key = _health_key(health)
+        if health_key != last_health_key:
+            if not args.quiet and health is not None:
+                print(
+                    json.dumps(dict(health, event="failover", tick=index + 1), sort_keys=True),
+                    file=sys.stderr,
+                )
+            last_health_key = health_key
+
+    def ticks():
+        nonlocal rolling_restarts
+        for index, start in enumerate(range(0, len(updates), args.batch_size)):
+            # A SIGHUP is honoured before the next tick, at the batch
+            # boundary where no delta frame is in flight.
             if _SIGHUP_PENDING["flag"]:
                 _SIGHUP_PENDING["flag"] = False
-                rolling_restarts += _rolling_restart(args, engine, tick)
-            chunk = updates[start : start + args.batch_size]
-            if args.batch_size == 1:
-                broker.on_update(chunk[0])
-            else:
-                broker.on_batch(chunk)
-            consumed += len(chunk)
-            tick += 1
-            for matched in subscription.drain():
-                delivered += 1
-                changes += matched.num_changes
-                if args.max_deltas is None or printed < args.max_deltas:
-                    print(json.dumps(matched.as_dict(), sort_keys=True), file=out)
-                    printed += 1
-            health = _replication_health(engine)
-            health_key = _health_key(health)
-            if health_key != last_health_key:
-                if not args.quiet and health is not None:
-                    print(
-                        json.dumps(
-                            dict(health, event="failover", tick=tick),
-                            sort_keys=True,
-                        ),
-                        file=sys.stderr,
-                    )
-                last_health_key = health_key
+                rolling_restarts += _rolling_restart(args, engine, index)
+            yield updates[start : start + args.batch_size]
+
+    replay_start = time.perf_counter()
+    try:
+        replay(broker, ticks(), on_tick=on_tick)
     except _ShutdownRequested as stop:
         # Graceful shutdown: stop the replay where it is, still flush the
         # stderr summary below, let main() close the shards, exit 0.
@@ -403,7 +401,7 @@ def _serve(args, engine, workload, stream) -> int:
             "subscribed": sorted(subscribed),
             "indexing_s": round(indexing_s, 4),
             "replay_s": round(replay_s, 4),
-            "updates_per_s": round(len(updates) / replay_s, 1) if replay_s else None,
+            "updates_per_s": round(consumed / replay_s, 1) if replay_s else None,
             "deltas_delivered": delivered,
             "answers_changed": changes,
             "flush": {

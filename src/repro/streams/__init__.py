@@ -1,17 +1,15 @@
 """Stream replay harness, metrics, and reporting."""
 
 from .metrics import Timer, TimingStats, deep_sizeof
-from .report import NotificationLog, format_replay_results, format_table
-from .runner import MatchListener, ReplayResult, StreamRunner
+from .report import format_replay_results, format_table
+from .runner import ReplayResult, replay
 
 __all__ = [
     "Timer",
     "TimingStats",
     "deep_sizeof",
-    "StreamRunner",
+    "replay",
     "ReplayResult",
-    "MatchListener",
-    "NotificationLog",
     "format_table",
     "format_replay_results",
 ]

@@ -1,18 +1,12 @@
-"""Plain-text reporting helpers shared by the benchmark harness and examples.
-
-``NotificationLog`` moved to the pub/sub subsystem
-(:class:`repro.pubsub.broker.NotificationLog`), where it doubles as a
-subscribe-to-all broker adapter; it is re-exported here for compatibility.
-"""
+"""Plain-text reporting helpers shared by the benchmark harness and examples."""
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from ..pubsub.broker import NotificationLog
 from .runner import ReplayResult
 
-__all__ = ["format_table", "format_replay_results", "NotificationLog"]
+__all__ = ["format_table", "format_replay_results"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -37,29 +31,18 @@ def format_replay_results(results: Iterable[ReplayResult]) -> str:
         "engine",
         "updates",
         "answering ms/update",
-        "indexing s",
         "matched updates",
         "timed out",
-        "memory MB",
     )
     rows = []
     for result in results:
-        memory = (
-            f"{result.memory_bytes / (1024 * 1024):.1f}"
-            if result.memory_bytes is not None
-            else "-"
-        )
         rows.append(
             (
                 result.engine,
                 f"{result.updates_processed}/{result.num_updates}",
                 f"{result.answering_time_ms_per_update:.3f}",
-                f"{result.indexing_time_s:.3f}",
                 result.matched_updates,
                 "yes" if result.timed_out else "no",
-                memory,
             )
         )
     return format_table(headers, rows)
-
-

@@ -1,70 +1,69 @@
-"""Stream replay harness: drive an engine with a stream and measure it.
+"""Stream replay: drive an engine with a stream, tick by tick, and measure it.
 
-The runner reproduces the paper's measurement protocol:
+:func:`replay` is the one loop that reproduces the paper's measurement
+protocol for every harness in the package (the figure runner, the scenario
+matrix and ``repro-serve``):
 
-* *indexing time* — wall-clock time to register the query database,
-* *answering time* — wall-clock time per update to determine the satisfied
+* *answering time* — wall-clock time per tick to determine the satisfied
   queries (averaged over the stream),
 * *time budget* — the paper aborts algorithms that exceed 24 hours on an
-  experiment; the runner accepts a (much smaller) budget and reports the
+  experiment; the loop accepts a (much smaller) budget and reports the
   number of updates processed before it was exhausted, which is how the
   "timed out at |GE| = X" asterisks of Figs. 12(f), 13(a) and 14 are
   regenerated,
-* *subscriptions* — pub/sub delivery of per-listener match deltas through a
-  :class:`~repro.pubsub.broker.SubscriptionBroker` (``broker=`` /
-  ``subscriptions=``), which is how applications consume the engines and
-  which subsumes the older poll-every-satisfied-query loop (``poll_every``)
-  and the bare :data:`MatchListener` callbacks (deprecated, kept as a
-  compatibility shim).
+* *subscriptions* — when the target is a
+  :class:`~repro.pubsub.broker.SubscriptionBroker`, every tick flows through
+  the broker, which delivers per-subscription match deltas; the optional
+  ``poll_every`` loop polls ``matches_of`` of every satisfied query instead.
+
+Indexing time (query registration) and memory footprints are measured by
+the callers that report them, around the call.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..core.engine import ContinuousEngine
 from ..graph.elements import Update
-from ..graph.stream import GraphStream
-from ..query.pattern import QueryGraphPattern
-from .metrics import TimingStats, deep_sizeof
+from ..pubsub.broker import SubscriptionBroker
+from .metrics import TimingStats
 
-__all__ = ["MatchListener", "ReplayResult", "StreamRunner"]
+__all__ = ["ReplayResult", "replay"]
 
-#: Callback invoked with (update, matched query ids) for non-empty answers.
-#: Deprecated in favour of broker subscriptions (which deliver the *changed
-#: answers*, not just the notified ids); kept as a compatibility shim.
-MatchListener = Callable[[Update, FrozenSet[str]], None]
+#: Per-tick hook: ``(tick index, the tick's updates, notified query ids)``,
+#: called after the tick (and its broker flush) and outside the timing.
+TickHook = Callable[[int, Sequence[Update], FrozenSet[str]], None]
 
 
 @dataclass
 class ReplayResult:
     """Outcome of replaying one stream through one engine.
 
-    With ``batch_size > 1`` the ``answering`` samples are *per micro-batch*
-    (one sample per ``on_batch`` call) and ``matched_updates`` counts the
-    batches that produced a non-empty answer set.
+    ``answering`` holds one sample per tick (an ``on_update`` call for a
+    one-update tick, an ``on_batch`` call otherwise) and ``matched_updates``
+    counts the ticks that produced a non-empty answer set.
     """
 
     engine: str
-    num_updates: int
-    updates_processed: int
-    indexing_time_s: float
-    batch_size: int = 1
+    num_updates: int = 0
+    updates_processed: int = 0
     answering: TimingStats = field(default_factory=TimingStats)
     matches_emitted: int = 0
     matched_updates: int = 0
     timed_out: bool = False
+    #: Deep size of the engine after the replay, when the caller measured it.
     memory_bytes: Optional[int] = None
     #: ``matches_of`` polling (``poll_every``): per-poll-round timings and
     #: the total number of answer dictionaries decoded across the replay.
     polling: TimingStats = field(default_factory=TimingStats)
     answers_decoded: int = 0
-    #: Broker mode (``broker=`` / ``subscriptions=``): deltas delivered to
-    #: subscriptions, answer dictionaries carried by them, and the
-    #: per-policy overflow events observed across the replay.
+    #: Broker mode: deltas delivered to subscriptions, answer dictionaries
+    #: carried by them, and the per-policy overflow events observed across
+    #: the replay.
     deltas_delivered: int = 0
     delta_answers: int = 0
     deltas_dropped: int = 0
@@ -80,6 +79,9 @@ class ReplayResult:
     #: engine's ``BatchReport`` proved the batch could not touch them.
     queries_flushed: int = 0
     queries_skipped: int = 0
+    #: Canonical oracle transcript, when the caller records one
+    #: (:func:`repro.bench.workloads.run_workload`).
+    transcript: str = ""
 
     @property
     def backpressured(self) -> bool:
@@ -91,7 +93,7 @@ class ReplayResult:
         """Mean answering time per stream update in milliseconds.
 
         Computed from the total answering time over the updates actually
-        processed, so it stays a *per-update* figure whatever the batch size.
+        processed, so it stays a *per-update* figure whatever the tick size.
         """
         if self.updates_processed == 0:
             return 0.0
@@ -103,18 +105,26 @@ class ReplayResult:
         return self.answering.total_seconds
 
     @property
+    def updates_per_s(self) -> float:
+        """Throughput: updates processed over the summed tick samples."""
+        total = self.answering.total_seconds
+        return self.updates_processed / total if total > 0 else 0.0
+
+    @property
     def completed(self) -> bool:
         """``True`` when every update of the stream was processed."""
         return self.updates_processed == self.num_updates and not self.timed_out
 
+    def transcript_digest(self) -> str:
+        """SHA-256 of the transcript (what the scenario matrix compares)."""
+        return hashlib.sha256(self.transcript.encode("utf-8")).hexdigest()
+
     def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary used by reports and EXPERIMENTS.md generation."""
+        """Flat dictionary of the counters, for reports and tests."""
         return {
             "engine": self.engine,
-            "batch_size": self.batch_size,
             "num_updates": self.num_updates,
             "updates_processed": self.updates_processed,
-            "indexing_time_s": round(self.indexing_time_s, 6),
             "answering_ms_per_update": round(self.answering_time_ms_per_update, 6),
             "total_answering_s": round(self.total_answering_time_s, 6),
             "matches_emitted": self.matches_emitted,
@@ -135,236 +145,100 @@ class ReplayResult:
         }
 
 
-class StreamRunner:
-    """Replay update streams through a continuous-query engine.
+def replay(
+    target: "ContinuousEngine | SubscriptionBroker",
+    ticks: Iterable[Sequence[Update]],
+    *,
+    poll_every: int = 0,
+    time_budget_s: Optional[float] = None,
+    on_tick: Optional[TickHook] = None,
+) -> ReplayResult:
+    """Feed every tick of ``ticks`` to ``target`` and measure it.
 
-    Parameters
-    ----------
-    engine:
-        The engine under measurement.  May be omitted when ``broker`` is
-        given (the broker's engine is used).
-    broker:
-        A :class:`~repro.pubsub.broker.SubscriptionBroker` to drive the
-        stream through: every update (or micro-batch) flows through the
-        broker, which forwards it to the engine and then flushes match
-        deltas to its subscriptions.  Delivery work is timed as part of
-        answering; delivery counts land in the ``deltas_*`` fields of
-        :class:`ReplayResult`.
-    subscriptions:
-        Subscription specs created on the broker before the replay (a
-        broker is created on demand when none was given).  Each spec is a
-        query id, an iterable of query ids, or a mapping of keyword
-        arguments for :meth:`~repro.pubsub.broker.SubscriptionBroker.subscribe`.
-        Note the engine's queries must already be registered; use
-        :meth:`subscribe` after :meth:`index_queries` otherwise.
-    batch_size:
-        Number of stream updates handed to the engine per call.  ``1`` (the
-        default) drives the engine through :meth:`~repro.core.engine.ContinuousEngine.on_update`;
-        larger values drive it through micro-batches
-        (:meth:`~repro.core.engine.ContinuousEngine.on_batch`), which is
-        answer-equivalent but amortizes per-update overhead.  In batched
-        mode listeners are invoked once per non-empty batch with the batch's
-        final update and the union of the notified query ids.
-    poll_every:
-        When positive, every ``poll_every`` processed updates the runner
-        polls :meth:`~repro.core.engine.ContinuousEngine.matches_of` for
-        every currently satisfied query — the ``matches_of``-heavy workload
-        that differentiates the answer-materialising ``+`` engines from
-        their base variants.  Poll rounds are timed separately from
-        answering (``ReplayResult.polling`` / ``answers_decoded``).
-        Broker subscriptions subsume this loop for applications that only
-        watch specific queries; the polling mode is kept for the benchmark
-        comparisons.
-    listeners:
-        Deprecated notification callbacks (see :data:`MatchListener`);
-        subscribe to a broker instead.
+    ``target`` is an engine (with its queries already registered) or a
+    :class:`~repro.pubsub.broker.SubscriptionBroker` over one; in broker
+    mode each tick is the engine call plus the delta flush and delivery,
+    and the delivery counters are accumulated on the result.  ``ticks`` is
+    any iterable of update sequences — ``SyntheticWorkload.iter_ticks()``,
+    list slices ``updates[i : i + n]``, or ``[[u] for u in updates]`` for a
+    per-update replay.  A one-update tick goes through ``on_update``, a
+    longer one through ``on_batch`` (answer-equivalent, amortised).
+
+    With ``poll_every > 0``, every ``poll_every`` processed updates the loop
+    polls ``matches_of`` for every satisfied query — the ``matches_of``-heavy
+    workload that differentiates the answer-materialising ``+`` engines
+    from their base variants; poll rounds are timed separately
+    (``polling`` / ``answers_decoded``).
+
+    ``on_tick(index, updates, notified)`` runs after every tick, outside the
+    timing: the caller's per-tick work (churn events, transcripts, draining
+    and printing deltas).  The replay stops early and flags ``timed_out``
+    once the cumulative answering (plus polling) time exceeds
+    ``time_budget_s``; the unprocessed ticks are still counted in
+    ``num_updates``.
     """
-
-    def __init__(
-        self,
-        engine: Optional[ContinuousEngine] = None,
-        *,
-        listeners: Sequence[MatchListener] = (),
-        time_budget_s: Optional[float] = None,
-        batch_size: int = 1,
-        poll_every: int = 0,
-        broker=None,
-        subscriptions: Optional[Iterable[object]] = None,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if poll_every < 0:
-            raise ValueError("poll_every must not be negative")
-        if broker is not None:
-            if engine is None:
-                engine = broker.engine
-            elif engine is not broker.engine:
-                raise ValueError("broker drives a different engine than the one given")
-        if engine is None:
-            raise ValueError("StreamRunner needs an engine or a broker")
-        self.engine = engine
-        self.broker = broker
-        self.listeners: List[MatchListener] = list(listeners)
-        if self.listeners:
-            warnings.warn(
-                "StreamRunner listeners are deprecated; subscribe to a "
-                "SubscriptionBroker for per-query match deltas instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.time_budget_s = time_budget_s
-        self.batch_size = batch_size
-        self.poll_every = poll_every
-        self.indexing_time_s = 0.0
-        for spec in subscriptions or ():
-            self._subscribe_spec(spec)
-
-    # ------------------------------------------------------------------
-    # Subscriptions and listeners
-    # ------------------------------------------------------------------
-    def _require_broker(self):
-        if self.broker is None:
-            from ..pubsub.broker import SubscriptionBroker
-
-            self.broker = SubscriptionBroker(self.engine)
-        return self.broker
-
-    def _subscribe_spec(self, spec: object) -> None:
-        if isinstance(spec, Mapping):
-            self.subscribe(**dict(spec))
-        elif isinstance(spec, str):
-            self.subscribe([spec])
-        else:
-            self.subscribe(list(spec))  # type: ignore[arg-type]
-
-    def subscribe(self, query_ids=None, **kwargs):
-        """Create a broker subscription (building the broker on demand).
-
-        Forwards to :meth:`SubscriptionBroker.subscribe
-        <repro.pubsub.broker.SubscriptionBroker.subscribe>`
-        with ``query_ids`` (``None`` = every registered query) and returns
-        the :class:`~repro.pubsub.broker.Subscription`.
-        """
-        return self._require_broker().subscribe(
-            kwargs.pop("name", None), query_ids, **kwargs
-        )
-
-    def add_listener(self, listener: MatchListener) -> None:
-        """Register a notification callback.
-
-        .. deprecated:: broker subscriptions deliver per-query match deltas
-           (the changed answers) instead of bare notified-id sets; this shim
-           remains for existing callers.
-        """
-        warnings.warn(
-            "StreamRunner.add_listener is deprecated; subscribe to a "
-            "SubscriptionBroker for per-query match deltas instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.listeners.append(listener)
-
-    # ------------------------------------------------------------------
-    # Query indexing
-    # ------------------------------------------------------------------
-    def index_queries(self, queries: Iterable[QueryGraphPattern]) -> float:
-        """Register ``queries`` with the engine, returning the elapsed seconds."""
+    if poll_every < 0:
+        raise ValueError("poll_every must not be negative")
+    broker = target if isinstance(target, SubscriptionBroker) else None
+    engine = broker.engine if broker is not None else target
+    result = ReplayResult(engine=engine.name)
+    elapsed_total = 0.0
+    updates_since_poll = 0
+    backpressured_names: set = set()
+    iterator = iter(ticks)
+    for index, tick in enumerate(iterator):
+        size = len(tick)
+        result.num_updates += size
         start = time.perf_counter()
-        self.engine.register_all(queries)
+        if size == 1:
+            report = target.on_update(tick[0])
+        else:
+            report = target.on_batch(tick)
         elapsed = time.perf_counter() - start
-        self.indexing_time_s += elapsed
-        return elapsed
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
-    def replay(
-        self,
-        stream: GraphStream | Sequence[Update],
-        *,
-        measure_memory: bool = False,
-    ) -> ReplayResult:
-        """Feed every update of ``stream`` to the engine and measure it.
-
-        The replay stops early (and flags ``timed_out``) once the cumulative
-        answering time exceeds the configured time budget.  With
-        ``batch_size > 1`` the stream is consumed in micro-batches through
-        the engine's batch API; the budget is checked after every batch.
-        In broker mode each chunk flows through the broker (engine call plus
-        delta flush and delivery) and the delivery counters are accumulated
-        on the result.
-        """
-        updates = list(stream)
-        result = ReplayResult(
-            engine=self.engine.name,
-            num_updates=len(updates),
-            updates_processed=0,
-            indexing_time_s=self.indexing_time_s,
-            batch_size=self.batch_size,
-        )
-        budget = self.time_budget_s
-        elapsed_total = 0.0
-        per_update = self.batch_size == 1
-        broker = self.broker
-        updates_since_poll = 0
-        backpressured_names: set = set()
-        for start_index in range(0, len(updates), self.batch_size):
-            chunk = updates[start_index : start_index + self.batch_size]
-            start = time.perf_counter()
-            if broker is not None:
-                tick = (
-                    broker.on_update(chunk[0]) if per_update else broker.on_batch(chunk)
-                )
-                matched = tick.notified
-            elif per_update:
-                matched = self.engine.on_update(chunk[0])
-            else:
-                matched = self.engine.on_batch(chunk)
-            elapsed = time.perf_counter() - start
-            result.answering.record(elapsed)
-            result.updates_processed += len(chunk)
-            elapsed_total += elapsed
-            if broker is not None:
-                result.deltas_delivered += tick.delivered
-                result.delta_answers += tick.num_changes
-                result.deltas_dropped += tick.dropped
-                result.deltas_coalesced += tick.coalesced
-                result.backpressure_events += len(tick.backpressured)
-                backpressured_names.update(tick.backpressured)
-                result.queries_flushed += tick.flushed
-                result.queries_skipped += tick.skipped
-            if matched:
-                result.matched_updates += 1
-                result.matches_emitted += len(matched)
-                for listener in self.listeners:
-                    listener(chunk[-1], matched)
-            if self.poll_every:
-                updates_since_poll += len(chunk)
-                if updates_since_poll >= self.poll_every:
-                    # Keep the remainder so batched replays still poll every
-                    # ~poll_every updates, not every ceil(poll_every /
-                    # batch_size) batches.
-                    updates_since_poll -= self.poll_every
-                    poll_start = time.perf_counter()
-                    for query_id in sorted(self.engine.satisfied_queries()):
-                        result.answers_decoded += len(self.engine.matches_of(query_id))
-                    poll_elapsed = time.perf_counter() - poll_start
-                    result.polling.record(poll_elapsed)
-                    elapsed_total += poll_elapsed
-            if budget is not None and elapsed_total > budget:
-                result.timed_out = True
-                break
+        result.answering.record(elapsed)
+        result.updates_processed += size
+        elapsed_total += elapsed
         if broker is not None:
-            # A BLOCK queue may also have overflowed outside a tick (the
-            # initial snapshot of a mid-replay subscribe); fold any
-            # still-over-capacity BLOCK subscription into the flag.
-            for name, subscription in broker.subscriptions.items():
-                if (
-                    subscription.backpressured
-                    or len(subscription.queue) > subscription.capacity
-                ):
-                    backpressured_names.add(name)
-            result.backpressured_subscriptions = tuple(sorted(backpressured_names))
-        if measure_memory:
-            result.memory_bytes = deep_sizeof(self.engine)
-        return result
+            result.deltas_delivered += report.delivered
+            result.delta_answers += report.num_changes
+            result.deltas_dropped += report.dropped
+            result.deltas_coalesced += report.coalesced
+            result.backpressure_events += len(report.backpressured)
+            backpressured_names.update(report.backpressured)
+            result.queries_flushed += report.flushed
+            result.queries_skipped += report.skipped
+            report = report.notified
+        if report:
+            result.matched_updates += 1
+            result.matches_emitted += len(report)
+        if on_tick is not None:
+            on_tick(index, tick, report)
+        if poll_every:
+            updates_since_poll += size
+            if updates_since_poll >= poll_every:
+                # Keep the remainder so batched replays still poll every
+                # ~poll_every updates, not every ceil(poll_every / tick
+                # size) ticks.
+                updates_since_poll -= poll_every
+                poll_start = time.perf_counter()
+                for query_id in sorted(engine.satisfied_queries()):
+                    result.answers_decoded += len(engine.matches_of(query_id))
+                poll_elapsed = time.perf_counter() - poll_start
+                result.polling.record(poll_elapsed)
+                elapsed_total += poll_elapsed
+        if time_budget_s is not None and elapsed_total > time_budget_s:
+            result.timed_out = True
+            result.num_updates += sum(len(rest) for rest in iterator)
+            break
+    if broker is not None:
+        # A BLOCK queue may also have overflowed outside a tick (the
+        # initial snapshot of a mid-replay subscribe); fold any
+        # still-over-capacity BLOCK subscription into the flag.
+        for name, subscription in broker.subscriptions.items():
+            if (
+                subscription.backpressured
+                or len(subscription.queue) > subscription.capacity
+            ):
+                backpressured_names.add(name)
+        result.backpressured_subscriptions = tuple(sorted(backpressured_names))
+    return result

@@ -17,7 +17,7 @@ import pytest
 from repro import ENGINE_FACTORIES, TRICEngine, TRICPlusEngine, add, create_engine, delete
 from repro.baselines.naive import NaiveEngine
 from repro.core.engine import ContinuousEngine
-from repro.streams import StreamRunner
+from repro.streams import replay
 
 from test_equivalence import _random_query
 
@@ -38,6 +38,11 @@ def _random_stream(rng: random.Random, num_updates: int, deletion_rate: float):
             live.append(update.edge)
             updates.append(update)
     return updates
+
+
+def _ticks(updates, size: int):
+    updates = list(updates)
+    return [updates[i : i + size] for i in range(0, len(updates), size)]
 
 
 def _random_workload(seed: int, num_queries: int = 8):
@@ -167,33 +172,30 @@ class TestDeletionHotPath:
             assert plain.matches_of(query.query_id) == materialising.matches_of(query.query_id)
 
 
-class TestBatchedStreamRunner:
+class TestBatchedReplay:
     def test_batched_replay_processes_every_update(self, checkin_query, checkin_stream):
-        runner = StreamRunner(TRICPlusEngine(), batch_size=3)
-        runner.index_queries([checkin_query])
-        result = runner.replay(checkin_stream)
+        engine = TRICPlusEngine()
+        engine.register(checkin_query)
+        result = replay(engine, _ticks(checkin_stream, 3))
         assert result.completed
-        assert result.batch_size == 3
         assert result.updates_processed == len(checkin_stream)
         # ceil(4 / 3) == 2 micro-batches were timed.
         assert result.answering.count == 2
         assert result.matches_emitted == 1
-        assert result.as_dict()["batch_size"] == 3
 
-    def test_batched_replay_notifies_listeners_once_per_batch(self, checkin_query, checkin_stream):
+    def test_batched_replay_reports_each_batch_once(self, checkin_query, checkin_stream):
         received = []
-        with pytest.warns(DeprecationWarning, match="SubscriptionBroker"):
-            runner = StreamRunner(
-                TRICEngine(),
-                batch_size=len(checkin_stream),
-                listeners=[lambda update, matched: received.append((update, matched))],
-            )
-        runner.index_queries([checkin_query])
-        runner.replay(checkin_stream)
+        engine = TRICEngine()
+        engine.register(checkin_query)
+        replay(
+            engine,
+            _ticks(checkin_stream, len(checkin_stream)),
+            on_tick=lambda index, tick, notified: received.append((list(tick), notified)),
+        )
         assert len(received) == 1
-        update, matched = received[0]
+        tick, matched = received[0]
         assert matched == frozenset({"checkin"})
-        assert update == list(checkin_stream)[-1]
+        assert tick[-1] == list(checkin_stream)[-1]
 
     def test_batched_and_per_update_replays_agree_on_matches(self):
         rng, queries = _random_workload(seed=41, num_queries=6)
@@ -201,12 +203,7 @@ class TestBatchedStreamRunner:
         results = {}
         for batch_size in (1, 16):
             engine = TRICPlusEngine()
-            runner = StreamRunner(engine, batch_size=batch_size)
-            runner.index_queries(queries)
-            runner.replay(updates)
+            engine.register_all(queries)
+            replay(engine, _ticks(updates, batch_size))
             results[batch_size] = engine.satisfied_queries()
         assert results[1] == results[16]
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            StreamRunner(TRICEngine(), batch_size=0)

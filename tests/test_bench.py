@@ -137,6 +137,49 @@ class TestRunningASmallExperiment:
         assert "paper" in text
         assert "configuration:" in text
 
+    @pytest.mark.parametrize("experiment_id", ["fig12a", "fig12b"])
+    def test_sweeps_forward_the_shard_executor(self, monkeypatch, experiment_id):
+        """Graph-size (fig12a) and parameter (fig12b) sweeps both hand
+        ``--executor`` to the sharded engine factory."""
+        import repro.bench.experiments as experiments
+
+        calls = []
+        real = experiments.create_sharded_engine
+
+        def recording(engine_name, shards, **kwargs):
+            calls.append(kwargs)
+            # Build serially: the test checks the forwarding, not the pool.
+            return real(engine_name, shards, **dict(kwargs, executor="serial"))
+
+        monkeypatch.setattr(experiments, "create_sharded_engine", recording)
+        run_experiment(
+            experiment_id,
+            scale=0.01,
+            engines=("TRIC",),
+            num_points=1,
+            shards=2,
+            executor="process",
+        )
+        assert calls
+        assert all(kwargs.get("executor") == "process" for kwargs in calls)
+
+    def test_replay_engine_measures_memory_on_request(self):
+        from repro.bench.experiments import _replay_engine
+
+        stream = build_stream("snb", 200, seed=1)
+        workload = build_workload(
+            stream, num_queries=20, avg_edges=3, selectivity=0.2, overlap=0.3, seed=2
+        )
+        measured = _replay_engine(
+            "TRIC+", workload, stream, time_budget_s=60.0, measure_memory=True
+        )
+        assert measured.completed
+        assert measured.memory_bytes is not None and measured.memory_bytes > 0
+        unmeasured = _replay_engine(
+            "TRIC+", workload, stream, time_budget_s=60.0, measure_memory=False
+        )
+        assert unmeasured.memory_bytes is None
+
     def test_indexing_experiment(self):
         result = run_experiment(
             "fig13b", scale=0.01, engines=("TRIC", "INV"), num_points=2

@@ -6,7 +6,7 @@ batch's ``BatchReport.affected`` (completeness) — for every engine and
 every shard count.  On top of it: the broker may skip unaffected queries
 without ever losing a delta, answers are byte-identical across the
 serial/process shard executors, and ``OverflowPolicy.BLOCK``
-backpressure is observable from ``StreamRunner`` results without dropping
+backpressure is observable from ``replay`` results without dropping
 anything.
 """
 
@@ -30,7 +30,7 @@ from repro import (
 from repro.graph.errors import EngineError
 from repro.pubsub import ShardedEngineGroup, SubscriptionBroker, canonical_key, replay_deltas
 from repro.query import QueryGraphPattern
-from repro.streams import StreamRunner
+from repro.streams import replay
 
 LABELS = ("a", "b")
 VERTICES = ("v0", "v1", "v2", "v3")
@@ -442,25 +442,20 @@ class TestBlockBackpressure:
     def test_blocked_listener_never_drops_and_is_observable_from_results(self):
         engine = TRICPlusEngine()
         engine.register(pair_query())
-        runner = StreamRunner(
-            engine,
-            subscriptions=[
-                {"name": "tiny", "query_ids": ["pair"], "policy": "block", "capacity": 1}
-            ],
-        )
+        broker = SubscriptionBroker(engine)
+        subscription = broker.subscribe("tiny", ["pair"], policy="block", capacity=1)
         updates = []
         for i in range(8):
-            updates.append(add("knows", f"s{i}", f"t{i}"))
+            updates.append([add("knows", f"s{i}", f"t{i}")])
             if i % 3 == 2:
-                updates.append(delete("knows", f"s{i}", f"t{i}"))
-        result = runner.replay(updates)
+                updates.append([delete("knows", f"s{i}", f"t{i}")])
+        result = replay(broker, updates)
         # Observable from the replay result, not just broker internals:
         assert result.backpressure_events > 0
         assert result.backpressured_subscriptions == ("tiny",)
         assert result.backpressured
         assert result.as_dict()["backpressured_subscriptions"] == ["tiny"]
         # ... and lossless: nothing dropped or coalesced, full reconstruction.
-        subscription = runner.broker.subscriptions["tiny"]
         assert subscription.dropped == 0 and subscription.coalesced == 0
         assert len(subscription.queue) > subscription.capacity
         state = replay_deltas(subscription.drain())
@@ -469,11 +464,9 @@ class TestBlockBackpressure:
     def test_unblocked_replay_reports_no_backpressure(self):
         engine = TRICPlusEngine()
         engine.register(pair_query())
-        runner = StreamRunner(
-            engine,
-            subscriptions=[{"query_ids": ["pair"], "policy": "block", "capacity": 64}],
-        )
-        result = runner.replay([add("knows", "a", "b")])
+        broker = SubscriptionBroker(engine)
+        broker.subscribe(None, ["pair"], policy="block", capacity=64)
+        result = replay(broker, [[add("knows", "a", "b")]])
         assert result.backpressure_events == 0
         assert result.backpressured_subscriptions == ()
         assert not result.backpressured

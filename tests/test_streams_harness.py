@@ -8,15 +8,15 @@ import pytest
 
 from repro import TRICEngine, TRICPlusEngine, add
 from repro.graph import GraphStream
+from repro.pubsub import SubscriptionBroker
 from repro.streams import (
-    NotificationLog,
     ReplayResult,
-    StreamRunner,
     Timer,
     TimingStats,
     deep_sizeof,
     format_replay_results,
     format_table,
+    replay,
 )
 
 
@@ -74,51 +74,69 @@ class TestDeepSizeof:
         assert deep_sizeof(engine) > before
 
 
-class TestStreamRunner:
-    def test_index_queries_measures_time(self, checkin_query):
-        runner = StreamRunner(TRICEngine())
-        elapsed = runner.index_queries([checkin_query])
-        assert elapsed >= 0.0
-        assert runner.indexing_time_s >= elapsed
+def _ticks(updates, size):
+    updates = list(updates)
+    return [updates[i : i + size] for i in range(0, len(updates), size)]
 
+
+def _per_update(updates):
+    return _ticks(updates, 1)
+
+
+class TestReplay:
     def test_replay_collects_metrics_and_matches(self, checkin_query, checkin_stream):
-        runner = StreamRunner(TRICPlusEngine())
-        runner.index_queries([checkin_query])
-        result = runner.replay(checkin_stream, measure_memory=True)
+        engine = TRICPlusEngine()
+        engine.register(checkin_query)
+        result = replay(engine, _per_update(checkin_stream))
         assert isinstance(result, ReplayResult)
         assert result.completed
+        assert result.num_updates == len(checkin_stream)
         assert result.updates_processed == len(checkin_stream)
         assert result.matched_updates == 1
         assert result.matches_emitted == 1
         assert result.answering.count == len(checkin_stream)
-        assert result.memory_bytes is not None and result.memory_bytes > 0
+        assert result.updates_per_s > 0
+        assert result.memory_bytes is None
         assert result.as_dict()["engine"] == "TRIC+"
 
-    def test_listeners_receive_notifications(self, checkin_query, checkin_stream):
-        log = NotificationLog()
-        with pytest.warns(DeprecationWarning, match="SubscriptionBroker"):
-            runner = StreamRunner(TRICEngine(), listeners=[log])
-        runner.index_queries([checkin_query])
-        runner.replay(checkin_stream)
-        assert len(log) == 1
-        assert log.queries_notified() == ["checkin"]
-        assert log.notifications[0]["queries"] == ["checkin"]
+    def test_one_update_ticks_use_on_update_and_longer_ones_on_batch(self, checkin_query):
+        calls = []
 
-    def test_add_listener_is_a_deprecated_shim(self, checkin_query, checkin_stream):
-        runner = StreamRunner(TRICEngine())
-        log = NotificationLog()
-        with pytest.warns(DeprecationWarning, match="SubscriptionBroker"):
-            runner.add_listener(log)
-        runner.index_queries([checkin_query])
-        runner.replay(checkin_stream)
-        assert len(log) == 1
+        class Spy(TRICEngine):
+            def on_update(self, update):
+                calls.append("update")
+                return super().on_update(update)
+
+            def on_batch(self, updates):
+                calls.append(("batch", len(updates)))
+                return super().on_batch(updates)
+
+        engine = Spy()
+        engine.register(checkin_query)
+        ticks = [[add("knows", "a", "b")], [add("knows", "b", "c"), add("knows", "c", "d")]]
+        result = replay(engine, ticks)
+        assert calls == ["update", ("batch", 2)]
+        assert result.answering.count == 2
+        assert result.updates_processed == 3
+
+    def test_on_tick_sees_every_tick_in_order(self, checkin_query, checkin_stream):
+        engine = TRICEngine()
+        engine.register(checkin_query)
+        seen = []
+        replay(
+            engine,
+            _ticks(checkin_stream, 3),
+            on_tick=lambda index, tick, notified: seen.append((index, len(tick), set(notified))),
+        )
+        assert seen == [(0, 3, set()), (1, 1, {"checkin"})]
 
     def test_broker_mode_delivers_match_deltas(self, checkin_query, checkin_stream):
-        runner = StreamRunner(TRICPlusEngine())
-        runner.index_queries([checkin_query])
-        subscription = runner.subscribe(["checkin"])
-        result = runner.replay(checkin_stream)
-        assert runner.broker is not None
+        engine = TRICPlusEngine()
+        engine.register(checkin_query)
+        broker = SubscriptionBroker(engine)
+        subscription = broker.subscribe(None, ["checkin"])
+        result = replay(broker, _per_update(checkin_stream))
+        assert result.engine == "TRIC+"
         assert result.deltas_delivered == 1
         assert result.delta_answers == 1
         deltas = subscription.drain()
@@ -128,44 +146,30 @@ class TestStreamRunner:
         assert as_dict["deltas_delivered"] == 1
         assert as_dict["delta_answers"] == 1
 
-    def test_constructor_broker_and_subscription_specs(self, checkin_query, checkin_stream):
-        from repro.pubsub import SubscriptionBroker
-
+    def test_batched_broker_replay_delivers_deltas(self, checkin_query, checkin_stream):
         engine = TRICPlusEngine()
         engine.register(checkin_query)
         broker = SubscriptionBroker(engine)
-        runner = StreamRunner(broker=broker, subscriptions=["checkin"], batch_size=2)
-        result = runner.replay(checkin_stream)
-        assert runner.engine is engine
+        subscription = broker.subscribe(None, ["checkin"])
+        result = replay(broker, _ticks(checkin_stream, 2))
         assert result.deltas_delivered == 1
-        [subscription] = broker.subscriptions.values()
         assert [d.query_id for d in subscription.drain()] == ["checkin"]
 
-    def test_broker_with_foreign_engine_rejected(self, checkin_query):
-        from repro.pubsub import SubscriptionBroker
-
-        engine = TRICPlusEngine()
-        engine.register(checkin_query)
-        with pytest.raises(ValueError):
-            StreamRunner(TRICEngine(), broker=SubscriptionBroker(engine))
-
-    def test_runner_needs_engine_or_broker(self):
-        with pytest.raises(ValueError):
-            StreamRunner()
-
     def test_time_budget_stops_the_replay(self, checkin_query):
-        runner = StreamRunner(TRICEngine(), time_budget_s=0.0)
-        runner.index_queries([checkin_query])
+        engine = TRICEngine()
+        engine.register(checkin_query)
         stream = GraphStream([add("knows", f"a{i}", f"b{i}") for i in range(50)])
-        result = runner.replay(stream)
+        result = replay(engine, _per_update(stream), time_budget_s=0.0)
         assert result.timed_out
         assert not result.completed
         assert result.updates_processed < len(stream)
+        # The ticks left unprocessed still count towards the stream length.
+        assert result.num_updates == len(stream)
 
     def test_poll_every_decodes_satisfied_answers(self, checkin_query, checkin_stream):
-        runner = StreamRunner(TRICPlusEngine(), poll_every=1)
-        runner.index_queries([checkin_query])
-        result = runner.replay(checkin_stream)
+        engine = TRICPlusEngine()
+        engine.register(checkin_query)
+        result = replay(engine, _per_update(checkin_stream), poll_every=1)
         assert result.polling.count == len(checkin_stream)
         # The final poll rounds see the satisfied query and decode answers.
         assert result.answers_decoded >= 1
@@ -174,20 +178,20 @@ class TestStreamRunner:
         assert as_dict["answers_decoded"] == result.answers_decoded
 
     def test_polling_disabled_by_default(self, checkin_query, checkin_stream):
-        runner = StreamRunner(TRICEngine())
-        runner.index_queries([checkin_query])
-        result = runner.replay(checkin_stream)
+        engine = TRICEngine()
+        engine.register(checkin_query)
+        result = replay(engine, _per_update(checkin_stream))
         assert result.polling.count == 0
         assert result.answers_decoded == 0
 
     def test_negative_poll_every_rejected(self):
         with pytest.raises(ValueError):
-            StreamRunner(TRICEngine(), poll_every=-1)
+            replay(TRICEngine(), [], poll_every=-1)
 
     def test_replay_accepts_plain_sequences(self, checkin_query):
-        runner = StreamRunner(TRICEngine())
-        runner.index_queries([checkin_query])
-        result = runner.replay([add("knows", "a", "b")])
+        engine = TRICEngine()
+        engine.register(checkin_query)
+        result = replay(engine, [[add("knows", "a", "b")]])
         assert result.updates_processed == 1
 
 
@@ -199,9 +203,9 @@ class TestReporting:
         assert "name" in lines[0] and "value" in lines[0]
 
     def test_format_replay_results(self, checkin_query, checkin_stream):
-        runner = StreamRunner(TRICEngine())
-        runner.index_queries([checkin_query])
-        result = runner.replay(checkin_stream, measure_memory=True)
+        engine = TRICEngine()
+        engine.register(checkin_query)
+        result = replay(engine, _per_update(checkin_stream))
         text = format_replay_results([result])
         assert "TRIC" in text
         assert "answering ms/update" in text

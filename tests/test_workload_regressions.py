@@ -18,11 +18,14 @@ snapshots, BLOCK growing past capacity).
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.bench.workloads import SCENARIOS, generate_workload, run_workload
 from repro.engines import create_engine
 from repro.pubsub import SubscriptionBroker, canonical_key, replay_deltas
+from repro.streams import replay
 
 #: Small but non-trivial scale for the churn/soak cells under tier-1.
 TEST_SCALE = 0.1
@@ -30,6 +33,36 @@ TEST_SCALE = 0.1
 
 def _answer_set(engine, query_id):
     return {canonical_key(binding) for binding in engine.matches_of(query_id)}
+
+
+class TestTranscriptPins:
+    """The replay transcript of every scenario, pinned to a fixed digest.
+
+    The scenario matrix only compares engines with each other; these pins
+    compare them with a committed value, so a change to the replay loop
+    (tick routing, churn timing, transcript format) that moves every engine
+    the same way still fails.  Stable across ``PYTHONHASHSEED`` values.
+    """
+
+    DIGESTS = {
+        "insert_heavy": "e83572caa59581871aaa42d5c22812e45b04367263f2cc02aadebad756ed559b",
+        "delete_heavy": "3661ceba36f7ab5f27d8fbc823cf9f5e113e5d9ab028dba0b5851c67ff998dfa",
+        "bursty": "16c45b4f7e526ffaacedb12d6e24f8badad570da4c16174f98a86252006287bb",
+        "high_skew": "b8b3c60ed4e7a6f0a3f4d060c716250bb322d82453d188ccc0b75256007c9615",
+        "churn_heavy": "40ddefaea680f02d114cfbd77d918474dc6d2498c6499485e432f738d8573144",
+        "soak": "2918d63d0a0b41c0f69f1626733351f4c66fe12f1bf3bccd7625311bbd5a97cf",
+    }
+
+    def test_every_scenario_is_pinned(self):
+        assert set(self.DIGESTS) == set(SCENARIOS)
+
+    @pytest.mark.parametrize("engine_name", ["TRIC+", "INV"])
+    @pytest.mark.parametrize("scenario", sorted(DIGESTS))
+    def test_transcript_digest(self, scenario, engine_name):
+        workload = generate_workload(SCENARIOS[scenario].scaled(TEST_SCALE))
+        transcript = run_workload(workload, engine_name).transcript
+        digest = hashlib.sha256(transcript.encode("utf-8")).hexdigest()
+        assert digest == self.DIGESTS[scenario]
 
 
 class TestPlusTierConvergence:
@@ -53,15 +86,17 @@ class TestInternerGrowthOnSoak:
         spec = SCENARIOS["soak"].scaled(TEST_SCALE)
         workload = generate_workload(spec)
         engine = create_engine("TRIC+")
-        try:
-            engine.register_all(workload.queries)
-            growth = []
-            for chunk in workload.iter_ticks():
-                engine.on_batch(chunk)
-                growth.append(engine.describe()["interner"]["live_ids"])
-        finally:
-            if hasattr(engine, "close"):
-                engine.close()
+        engine.register_all(workload.queries)
+        growth = []
+        result = replay(
+            engine,
+            workload.iter_ticks(),
+            on_tick=lambda index, tick, notified: growth.append(
+                engine.describe()["interner"]["live_ids"]
+            ),
+        )
+        assert result.completed
+        assert len(growth) == workload.num_ticks
         # Measured: nearly half the soak's updates are deletions, yet the
         # live-id count never decreases — ids are append-only, which is
         # exactly the compaction concern this pin documents.
@@ -80,13 +115,6 @@ class TestInternerGrowthOnSoak:
             for literal in pattern.literals()
         }
         assert 0 < growth[-1] <= len(stream_vertices | literals) <= spec.num_vertices
-
-    def test_soak_cell_records_interner_growth(self):
-        """The matrix cell itself carries the measurement."""
-        workload = generate_workload(SCENARIOS["soak"].scaled(0.05))
-        cell = run_workload(workload, "TRIC+").as_dict()
-        assert "interner_live_ids" in cell
-        assert cell["interner_live_ids"] > 0
 
 
 class TestBrokerDeliveryUnderChurn:

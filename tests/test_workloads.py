@@ -198,9 +198,9 @@ class TestWorkloadRun:
         workload = generate_workload(WorkloadSpec(seed=3, num_updates=120, num_queries=6))
         result = run_workload(workload, "TRIC+")
         assert result.num_updates == 120
-        assert result.num_ticks == workload.num_ticks
+        assert result.completed
         assert result.updates_per_s > 0
-        assert result.tick_latency.count == workload.num_ticks
+        assert result.answering.count == workload.num_ticks
         assert result.transcript
         assert len(result.transcript_digest()) == 64
 
