@@ -17,14 +17,13 @@ in-flight batch the dead primary never acknowledged is re-run exactly once
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core.engine import BatchReport
 from ..graph.elements import Update
 from ..graph.errors import PersistenceError, ShardUnavailableError
 from ..query.pattern import QueryGraphPattern
-from .workers import ProcessWorker, RecoverySource, Worker, WorkerLost, collect
+from .workers import ProcessWorker, RecoverySource, Reply, Worker, WorkerLost, collect
 
 __all__ = ["ReplicaSet", "ShardSupervisor"]
 
@@ -57,14 +56,12 @@ class ReplicaSet:
     def replenish(self, source: RecoverySource, initial: bool = False) -> None:
         """Bring the set back up to ``target`` replicas built from ``source``.
 
-        A newcomer's pid is fetched while it is known alive, so fault
-        injection can always name it; one that dies while being built ends
-        the attempt quietly — the next interaction replenishes.
+        A newcomer that dies while being built ends the attempt quietly —
+        the next interaction replenishes.
         """
         while len(self.replicas) < self.target:
             try:
                 replica = source.build()
-                replica.pid()
             except WorkerLost:
                 return
             self.replicas.append(replica)
@@ -88,18 +85,22 @@ class ReplicaSet:
     def read(self, op: str, args: Tuple) -> Tuple[bool, object]:
         """Serve one read from a replica: ``(served, result)``.
 
-        Round-robin over the live replicas; the chosen one is drained to
-        the primary's acknowledged sequence first, so the answer is
-        byte-identical to the primary's.  A replica that dies mid-read is
-        detached and the read fails over to the next; ``(False, None)``
-        means no replica could serve (fall back to the primary).
+        Round-robin over the live replicas.  The read is sent at once,
+        queued on the chosen replica's FIFO pipe behind every op forwarded
+        before it, so it answers at the primary's acknowledged sequence —
+        byte-identical to the primary's answer; the forward replies and then
+        the read's are consumed in that order.  A replica that dies, or
+        whose forwarded op failed, is detached and the read fails over to
+        the next; ``(False, None)`` means no replica could serve (fall back
+        to the primary).
         """
         while self.replicas:
             replica = self.replicas[self._rr % len(self.replicas)]
             self._rr += 1
+            reply = replica.submit(op, *args)
             if replica.drain():
                 try:
-                    result = replica.call(op, *args)
+                    result = collect(reply)
                 except WorkerLost:
                     pass
                 else:
@@ -162,10 +163,11 @@ class ReplicaSet:
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Retire the set: shut every replica down, keep none from now on."""
+        """Retire the set: shut every replica down and reap it, keep none
+        from now on."""
         self.target = 0
         for replica in self.replicas:
-            replica.shutdown()
+            replica.shutdown(wait=True)
         self.replicas.clear()
 
 
@@ -288,7 +290,7 @@ class ShardSupervisor:
         self._acknowledge(op, args)
         return result
 
-    def start_batch(self, updates: Sequence[Update]) -> Future:
+    def start_batch(self, updates: Sequence[Update]) -> Reply:
         """Send a batch command without waiting (the concurrent fan-out).
 
         Pair with :meth:`finish_batch`, which collects the reply *and*
@@ -300,7 +302,7 @@ class ShardSupervisor:
         return self._primary.submit("batch", list(updates))
 
     def finish_batch(
-        self, future: Future, updates: Sequence[Update]
+        self, reply: Reply, updates: Sequence[Update]
     ) -> Tuple[BatchReport, FrozenSet[str], float]:
         """Collect a :meth:`start_batch` reply, recovering a dead worker.
 
@@ -311,7 +313,7 @@ class ShardSupervisor:
         """
         updates = list(updates)
         try:
-            result = collect(future)
+            result = collect(reply)
         except WorkerLost:
             self._recover()
             result = self._execute("batch", updates)

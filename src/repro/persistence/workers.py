@@ -1,37 +1,38 @@
 """Shard workers: the command runtime, the worker handle, the recovery source.
 
 A process-executor shard (see :mod:`repro.pubsub.sharding`) keeps its
-engine in a worker process driven over picklable command frames.  This
-module is everything that knows how such a worker is made and spoken to:
-:class:`ShardHost` (the engine plus its command dispatcher, on either side
-of the process boundary), the parent-side handles :class:`ProcessWorker` /
-:class:`LocalWorker`, :func:`collect` (the single place a dead worker
-process is told apart from an engine error), and :class:`RecoverySource`,
-which owns the one policy every worker is made by: *a worker is brought to
-sequence N by restoring a snapshot and replaying the acknowledged ops
-after it*.  Who serves what, and what happens on a loss, is policy and
-lives in :mod:`repro.persistence.replication`.
+engine in a worker process driven over picklable command frames on one
+duplex pipe.  This module is everything that knows how such a worker is
+made and spoken to: :class:`ShardHost` (the engine plus its command
+dispatcher, on either side of the process boundary), the parent-side
+handles :class:`ProcessWorker` / :class:`LocalWorker` and their
+:class:`Reply`, :func:`collect` (the single place a dead worker process is
+told apart from an engine error), and :class:`RecoverySource`, which owns
+the one policy every worker is made by: *a worker is brought to sequence N
+by restoring a snapshot and replaying the acknowledged ops after it*.  Who
+serves what, and what happens on a loss, is policy and lives in
+:mod:`repro.persistence.replication`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
+import multiprocessing
 import signal
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import util
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.engine import BatchReport, ContinuousEngine
 from ..graph.elements import Update
-from ..graph.errors import EngineError, ShardUnavailableError
+from ..graph.errors import EngineError
 
 __all__ = [
     "WORKER_FAILURES",
     "ProcessWorker",
     "RecoverySource",
+    "Reply",
     "Worker",
     "WorkerLost",
     "collect",
@@ -39,9 +40,21 @@ __all__ = [
     "silent_backfill",
 ]
 
-#: Exceptions that mean "the worker process died" (vs. an engine error,
-#: which travels back through the future as the engine's own exception).
-WORKER_FAILURES = (BrokenProcessPool, BrokenPipeError, EOFError)
+#: Exceptions that mean "the worker's pipe is gone" — EOF or a reset on
+#: ``recv``, a broken pipe on ``send`` — as opposed to an engine error,
+#: which travels back as a reply and re-raises with its own type.
+WORKER_FAILURES = (EOFError, OSError)
+
+#: Forwarded ops a replica may hold unconfirmed before :meth:`ProcessWorker.ack`
+#: waits for the oldest.  Bounds the replies a lagging replica can pile up
+#: in its pipe, so neither side ever blocks on a full pipe while the other
+#: blocks on its own (a Linux socket pair with default buffers holds ~270
+#: small frames per direction).
+FORWARD_WINDOW = 32
+
+#: Why a handle is lost when a ``send``/``recv`` on its pipe is cut short by
+#: anything but a transport failure (see :class:`ProcessWorker`).
+_INTERRUPTED = "shard worker pipe interrupted mid-frame"
 
 
 class WorkerLost(Exception):
@@ -123,43 +136,93 @@ class ShardHost:
         raise EngineError(f"unknown shard command: {op!r}")  # pragma: no cover
 
 
-#: The host owned by this worker process (one engine per single-worker
-#: pool; every command of that shard is executed against it).
-_WORKER_HOST: Optional[ShardHost] = None
+def _worker_main(conn, engine_name: str, engine_kwargs: Dict[str, object]) -> None:
+    """A worker process: build the engine, then answer command frames in order.
 
-
-def _worker_init(engine_name: str, engine_kwargs: Dict[str, object]) -> None:
-    """Pool initializer: build this worker's engine inside the process.
-
-    Workers ignore SIGINT/SIGTERM: a terminal signal aimed at the serving
-    process (or its whole process group — a ^C) must not kill the shards
-    out from under the parent's graceful shutdown; the parent ends workers
-    through the pool's shutdown path (and supervised respawn / promotion
-    handles any worker that dies anyway).
+    A frame is ``(op, args)``; the reply is ``(True, result)`` or
+    ``(False, exception)``.  The worker exits on the exit frame ``None`` or
+    when the parent's end of the pipe is gone.  Workers ignore
+    SIGINT/SIGTERM: a terminal signal aimed at the serving process (or its
+    whole process group — a ^C) must not kill the shards out from under the
+    parent's graceful shutdown; the parent ends workers through the exit
+    frame (and supervised respawn / promotion handles any worker that dies
+    anyway).
     """
-    global _WORKER_HOST
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    _WORKER_HOST = ShardHost(engine_name, engine_kwargs)
+    host = ShardHost(engine_name, engine_kwargs)
+    try:
+        while True:
+            frame = conn.recv()
+            if frame is None:
+                return
+            op, args = frame
+            try:
+                reply = (True, host.run(op, args))
+            except Exception as error:
+                reply = (False, error)
+            conn.send(reply)
+    except WORKER_FAILURES:
+        return  # the parent hung up
 
 
-def _worker_call(op: str, args: Tuple) -> object:
-    """Execute one command frame against this worker process's host."""
-    if op == "pid":
-        return os.getpid()
-    if _WORKER_HOST is None:
-        raise ShardUnavailableError("process shard used before initialization")
-    return _WORKER_HOST.run(op, args)
+def _hang_up(conn) -> None:
+    """Send the exit frame and close the parent's end of a worker's pipe.
+
+    Registered as a :class:`multiprocessing.util.Finalize` with an exit
+    priority, so a handle nobody shut down is still hung up before
+    multiprocessing joins its children at interpreter exit — the workers
+    ignore SIGTERM, and without the exit frame that join would wait forever.
+    """
+    with contextlib.suppress(*WORKER_FAILURES):
+        conn.send(None)
+    conn.close()
 
 
 # ----------------------------------------------------------------------
 # Worker handles (parent side)
 # ----------------------------------------------------------------------
-def collect(future: Future) -> object:
+class Reply:
+    """The reply to one submitted command.
+
+    :meth:`result` waits for it and re-raises the command's exception;
+    :meth:`done` says whether it arrived, without waiting.  A
+    :class:`LocalWorker` hands out replies already settled; a
+    :class:`ProcessWorker` settles its replies in submission order as they
+    come off the pipe.
+    """
+
+    __slots__ = ("_worker", "_ok", "_value")
+
+    def __init__(
+        self, worker: Optional["ProcessWorker"] = None, ok: bool = True, value=None
+    ) -> None:
+        #: The handle still owing this reply (``None`` once settled).
+        self._worker = worker
+        self._ok = ok
+        self._value = value
+
+    def _settle(self, ok: bool, value) -> None:
+        self._worker = None
+        self._ok = ok
+        self._value = value
+
+    def done(self) -> bool:
+        return self._worker is None or self._worker._poll(self)
+
+    def result(self) -> object:
+        if self._worker is not None:
+            self._worker._wait(self)
+        if self._ok:
+            return self._value
+        raise self._value
+
+
+def collect(reply: Reply) -> object:
     """Result of a submitted command; a dead worker raises :class:`WorkerLost`,
     engine-level exceptions travel through unchanged."""
     try:
-        return future.result()
+        return reply.result()
     except WORKER_FAILURES as error:
         raise WorkerLost(f"shard worker process died: {error!r}") from error
 
@@ -171,7 +234,7 @@ class Worker:
     #: hold (its position in the primary's acknowledged-ops stream).
     applied_seq = 0
 
-    def submit(self, op: str, *args) -> Future:
+    def submit(self, op: str, *args) -> Reply:
         """Send one command without waiting; :func:`collect` the reply."""
         raise NotImplementedError
 
@@ -198,59 +261,116 @@ class LocalWorker(Worker):
     """A shard engine in the parent's own address space, worker-shaped.
 
     What a degraded shard runs on: commands execute synchronously and come
-    back as already-completed futures, so callers written against
+    back as already-settled replies, so callers written against
     :class:`ProcessWorker` need no second code path.
     """
 
     def __init__(self, engine_name: str, engine_kwargs: Dict[str, object]) -> None:
         self._host = ShardHost(engine_name, engine_kwargs)
 
-    def submit(self, op: str, *args) -> Future:
-        future: Future = Future()
+    def submit(self, op: str, *args) -> Reply:
         try:
-            future.set_result(self._host.run(op, args))
+            return Reply(value=self._host.run(op, args))
         except Exception as error:
-            future.set_exception(error)
-        return future
+            return Reply(ok=False, value=error)
 
 
 class ProcessWorker(Worker):
     """Parent-side handle of one worker process hosting a shard engine.
 
-    The process sits behind a single-worker pool, so commands land on the
-    same long-lived engine in submission order.  The process is started by
-    the first command, not by the constructor.
+    The process is forked by the constructor and the parent holds one
+    duplex pipe to it: commands are sent in order, the worker answers them
+    in order, and each reply settles the oldest :class:`Reply` still
+    waiting — no parent-side thread in between.  One thread drives a
+    handle; it is not safe to share one between threads.
+
+    A transport failure (EOF or a reset on ``recv``, a broken pipe on
+    ``send``) fails every in-flight reply with that error, and every later
+    :meth:`submit` returns a failed reply instead of raising, so a death is
+    observed in one place: :func:`collect`.  A ``send``/``recv`` cut short
+    by anything else (a signal handler raising mid-frame) loses the handle
+    the same way before the exception propagates: the framing can no
+    longer be trusted.
     """
 
     def __init__(self, engine_name: str, engine_kwargs: Dict[str, object]) -> None:
-        self._pool = ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_worker_init,
-            initargs=(engine_name, engine_kwargs),
+        context = multiprocessing.get_context("fork")
+        conn, child_conn = context.Pipe()
+        # Workers forked later inherit this end; they close their copies,
+        # so this worker still sees EOF once the parent's end is gone.
+        util.register_after_fork(conn, type(conn).close)
+        self._process = context.Process(
+            target=_worker_main,
+            args=(child_conn, engine_name, engine_kwargs),
         )
-        #: Forwarded-but-not-yet-acknowledged ops: (seq, future), FIFO.
-        self._pending: Deque[Tuple[int, Future]] = deque()
-        self._pid: Optional[int] = None
+        self._process.start()
+        child_conn.close()
+        self._conn = conn
+        self._hang_up = util.Finalize(self, _hang_up, args=(conn,), exitpriority=10)
+        #: Submitted commands whose reply has not arrived yet, oldest first.
+        self._in_flight: Deque[Reply] = deque()
+        #: The transport failure this worker was lost to (``None``: alive).
+        self._lost: Optional[BaseException] = None
+        #: Forwarded-but-not-yet-acknowledged ops: (seq, reply), FIFO.
+        self._pending: Deque[Tuple[int, Reply]] = deque()
 
-    def submit(self, op: str, *args) -> Future:
-        # A pool already known broken fails the returned future instead of
-        # raising here, so death is observed in one place: collect().
+    def submit(self, op: str, *args) -> Reply:
+        if self._lost is None:
+            try:
+                self._conn.send((op, args))
+            except WORKER_FAILURES as error:
+                self._lose(error)
+            except BaseException:
+                self._lose(EOFError(_INTERRUPTED))
+                raise
+            else:
+                reply = Reply(self)
+                self._in_flight.append(reply)
+                return reply
+        return Reply(ok=False, value=self._lost)
+
+    # -- the pipe --------------------------------------------------------
+    def _receive(self) -> None:
+        """Read the next reply off the pipe into the oldest waiting handle."""
         try:
-            return self._pool.submit(_worker_call, op, args)
+            ok, value = self._conn.recv()
         except WORKER_FAILURES as error:
-            failed: Future = Future()
-            failed.set_exception(error)
-            return failed
+            self._lose(error)
+            return
+        except BaseException:
+            self._lose(EOFError(_INTERRUPTED))
+            raise
+        self._in_flight.popleft()._settle(ok, value)
+
+    def _wait(self, reply: Reply) -> None:
+        while reply._worker is not None:
+            self._receive()
+
+    def _poll(self, reply: Reply) -> bool:
+        while reply._worker is not None and self._conn.poll():
+            self._receive()
+        return reply._worker is None
+
+    def _lose(self, error: BaseException) -> None:
+        """Fail every in-flight reply with ``error`` and hang up (once)."""
+        if self._lost is None:
+            # Keep no frame of the failed send/recv: through this handle they
+            # would form a reference cycle pinning the pickle buffers.
+            self._lost = error.with_traceback(None)
+        while self._in_flight:
+            self._in_flight.popleft()._settle(False, self._lost)
+        self._hang_up()
 
     # -- the replication stream ------------------------------------------
     def forward(self, seq: int, op: str, args: Tuple) -> None:
-        """Ship acknowledged op number ``seq`` asynchronously (FIFO)."""
+        """Ship acknowledged op number ``seq`` without waiting (FIFO)."""
         self._pending.append((seq, self.submit(op, *args)))
 
     def ack(self) -> bool:
-        """Advance ``applied_seq`` over finished forwards without waiting.
-        ``False``: a forwarded op failed — the worker died or diverged
-        from its primary — and it must not serve again."""
+        """Advance ``applied_seq`` over finished forwards, waiting only
+        while more than :data:`FORWARD_WINDOW` are outstanding.  ``False``:
+        a forwarded op failed — the worker died or diverged from its
+        primary — and it must not serve again."""
         return self._settle(wait=False)
 
     def drain(self) -> bool:
@@ -259,10 +379,12 @@ class ProcessWorker(Worker):
 
     def _settle(self, wait: bool) -> bool:
         pending = self._pending
-        while pending and (wait or pending[0][1].done()):
-            seq, future = pending.popleft()
+        while pending and (
+            wait or len(pending) > FORWARD_WINDOW or pending[0][1].done()
+        ):
+            seq, reply = pending.popleft()
             try:
-                future.result()
+                reply.result()
             except Exception:
                 return False
             self.applied_seq = seq
@@ -270,17 +392,18 @@ class ProcessWorker(Worker):
 
     # -- the process -----------------------------------------------------
     def pid(self) -> int:
-        """OS pid of the worker process (one round trip, then cached)."""
-        if self._pid is None:
-            self._pid = self.call("pid")
-        return self._pid
+        """OS pid of the worker process."""
+        return self._process.pid
 
     def kill(self) -> None:
-        with contextlib.suppress(ProcessLookupError):  # already dead and reaped
-            os.kill(self.pid(), signal.SIGKILL)
+        self._process.kill()
 
     def shutdown(self, wait: bool = False) -> None:
-        self._pool.shutdown(wait=wait)
+        """Fail what is in flight, send the exit frame and close the pipe;
+        ``wait``: also reap the process."""
+        self._lose(EOFError("shard worker was shut down"))
+        if wait:
+            self._process.join()
 
 
 # ----------------------------------------------------------------------

@@ -511,10 +511,10 @@ class ShardedEngineGroup(ContinuousEngine):
             # Collection goes through each shard's finish_batch, which is
             # where worker death is detected and supervised recovery (and
             # the exactly-once re-run of the in-flight batch) happens.
-            futures = [self.shards[index].start_batch(updates) for index, updates in jobs]
+            replies = [self.shards[index].start_batch(updates) for index, updates in jobs]
             return [
-                self.shards[index].finish_batch(future, updates)
-                for (index, updates), future in zip(jobs, futures)
+                self.shards[index].finish_batch(reply, updates)
+                for (index, updates), reply in zip(jobs, replies)
             ]
         return [run_batch(self.shards[index], updates) for index, updates in jobs]
 

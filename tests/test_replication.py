@@ -3,7 +3,7 @@
 The central replication properties:
 
 * Reads served by replicas are byte-identical to the primary's answers
-  (drain-to-ack before every replica read).
+  (every replica read is queued behind the ops forwarded before it).
 * A SIGKILLed replica is detached and re-seeded; reads fail over to
   surviving workers with no wrong answers and no errors.
 * A SIGKILLed primary promotes the freshest replica and re-runs the
@@ -18,18 +18,25 @@ The central replication properties:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from collections import Counter
+from multiprocessing.connection import Connection
+from pathlib import Path
 
 import pytest
 
 from repro import QueryBuilder, add, delete
 from repro.core.engine import ContinuousEngine
-from repro.graph.errors import EngineError, PersistenceError
-from repro.persistence.workers import ProcessWorker
+from repro.graph.errors import EngineError, PersistenceError, UnknownQueryError
+from repro.persistence.workers import ProcessWorker, WorkerLost, collect
 from repro.pubsub import ShardedEngineGroup, SubscriptionBroker
 
 
@@ -144,7 +151,7 @@ class TestReplicaReads:
             )
             assert reads > 0
             for info in group.replication_statistics():
-                assert info["replicas"]["lag"] == [0]  # drained to the ack point
+                assert info["replicas"]["lag"] == [0]  # read behind every forward
 
     def test_reads_fall_back_to_primary_when_replicas_exhausted(self, hard_timeout):
         oracle = ShardedEngineGroup("TRIC+", 2, executor="serial")
@@ -423,6 +430,164 @@ class TestRespawnWindow:
 
 
 # ----------------------------------------------------------------------
+# Engine errors travel back as replies; they are not worker deaths
+# ----------------------------------------------------------------------
+class TestEngineErrors:
+    @pytest.mark.parametrize("replicas", [1, 0], ids=["replica-read", "primary-read"])
+    def test_engine_error_is_not_a_worker_death(self, replicas, hard_timeout):
+        with ShardedEngineGroup(
+            "TRIC+", 1, executor="process", replicas=replicas
+        ) as group:
+            group.register_all(patterns())
+            group.on_batch(interleaved_stream(12))
+            shard = group.shards[0]
+            pids = (shard.worker_pid(), shard.replica_pids())
+            assert len(pids[1]) == replicas
+            # The group checks query ids before routing, so go to the shard.
+            with pytest.raises(UnknownQueryError):
+                shard.matches_of("missing")
+            info = shard.replication_info()
+            assert (info["respawns"], info["promotions"]) == (0, 0)
+            if replicas:
+                assert info["replicas"]["deaths"] == 0
+                assert info["replicas"]["read_failovers"] == 0
+            assert (shard.worker_pid(), shard.replica_pids()) == pids
+            oracle = ShardedEngineGroup("TRIC+", 1, executor="serial")
+            oracle.register_all(patterns())
+            oracle.on_batch(interleaved_stream(12))
+            suffix = [add("likes", "v1", "v2"), add("knows", "v2", "v1")]
+            assert group.on_batch(suffix) == oracle.on_batch(suffix)
+            assert_same_answers(group, oracle)
+
+
+class TestWorkerPipe:
+    def test_interrupted_receive_loses_the_worker(self, hard_timeout, monkeypatch):
+        """A receive cut short mid-frame (a signal handler raising) must not
+        leave later replies misaligned: the handle is lost instead."""
+        worker = ProcessWorker("TRIC+", {})
+        try:
+            assert worker.call("describe")["queries"] == 0
+            reply = worker.submit("describe")
+
+            def interrupted(conn):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(Connection, "recv", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                reply.result()
+            monkeypatch.undo()
+            with pytest.raises(WorkerLost):
+                collect(reply)
+            with pytest.raises(WorkerLost):
+                worker.call("describe")
+        finally:
+            worker.shutdown(wait=True)
+
+
+# ----------------------------------------------------------------------
+# Exit and reaping: no worker outlives its group or hangs the interpreter
+# ----------------------------------------------------------------------
+def python_env():
+    """The environment of a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def running(pid):
+    """Whether ``pid`` is still running (a zombie has already exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestExitAndReaping:
+    def test_unclosed_group_exits_promptly_and_quietly(self):
+        script = textwrap.dedent(
+            """
+            from repro import QueryBuilder, add
+            from repro.pubsub import ShardedEngineGroup
+
+            group = ShardedEngineGroup("TRIC+", 2, executor="process", replicas=1)
+            group.register_all([
+                QueryBuilder("chain").edge("knows", "?a", "?b")
+                .edge("likes", "?b", "?c").build(),
+                QueryBuilder("pair").edge("knows", "?x", "?y").build(),
+            ])
+            group.on_batch([add("knows", "a", "b"), add("likes", "b", "c")])
+            assert group.matches_of("pair") == [{"x": "a", "y": "b"}]
+            group.shards[0].kill_worker()
+            group.on_batch([add("knows", "c", "d"), add("likes", "d", "e")])
+            # exits without close()
+            """
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=python_env(),
+            timeout=20,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stderr == ""
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_workers_exit_when_their_parent_is_killed(self):
+        script = textwrap.dedent(
+            """
+            import time
+            from repro.pubsub import ShardedEngineGroup
+
+            group = ShardedEngineGroup("TRIC+", 2, executor="process", replicas=1)
+            pids = [shard.worker_pid() for shard in group.shards]
+            pids += [pid for shard in group.shards for pid in shard.replica_pids()]
+            print(*pids, flush=True)
+            time.sleep(60)
+            """
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=python_env(),
+        )
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+        finally:
+            child.kill()
+            child.wait(timeout=20)
+            child.stdout.close()
+        assert len(pids) == 4
+        try:
+            deadline = time.monotonic() + 10
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if running(pid)]
+        finally:
+            for pid in filter(running, pids):  # an orphan must not outlive the test
+                os.kill(pid, signal.SIGKILL)
+
+    def test_restart_and_close_reap_every_worker(self, hard_timeout):
+        group = replicated_group()
+        try:
+            group.register_all(patterns())
+            group.on_batch(interleaved_stream(12))
+            group.rolling_restart()
+            pids = set()
+            for shard in group.shards:
+                pids.add(shard.worker_pid())
+                pids.update(shard.replica_pids())
+            assert len(pids) == 4
+        finally:
+            group.close()
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert not pids & alive
+
+
+# ----------------------------------------------------------------------
 # Composed faults: every recovery path in one stream
 # ----------------------------------------------------------------------
 class _Swappable:
@@ -568,3 +733,41 @@ class TestCommandAccounting:
                 # 2 primaries + 2 replicas restored from the pickled blobs.
                 assert issued["restore"] == 4
                 assert issued["snapshot"] == 0
+
+    def test_one_command_per_batch_forward_and_read(self, hard_timeout, monkeypatch):
+        """Pins the round trips of a fault-free 2x1 stream: one ``batch``
+        per shard batch on the primary and one forward of it per replica,
+        exactly one command per replica read, no ``pid`` round trip, and
+        snapshots only at the cadence."""
+        issued = Counter()
+        submit = ProcessWorker.submit
+
+        def counting_submit(worker, op, *args):
+            issued[worker, op] += 1
+            return submit(worker, op, *args)
+
+        monkeypatch.setattr(ProcessWorker, "submit", counting_submit)
+        with replicated_group(worker_snapshot_every=32) as group:
+            assert sum(n for (_, op), n in issued.items() if op == "pid") == 0
+            group.register_all(patterns())
+            for update in interleaved_stream(60):
+                group.on_batch([update])
+            reads = [pattern.query_id for pattern in patterns()] * 3
+            for query_id in reads:
+                group.matches_of(query_id)
+            counts = Counter()
+            for (worker, op), n in issued.items():
+                counts[worker.pid(), op] += n
+            statistics = group.replication_statistics()
+            batches = group.describe()["shard_batches"]
+            for shard, shard_batches, info in zip(group.shards, batches, statistics):
+                primary, (replica,) = shard.worker_pid(), shard.replica_pids()
+                assert counts[primary, "batch"] == shard_batches
+                assert counts[replica, "batch"] == shard_batches  # the forwards
+                assert counts[primary, "snapshot"] == info["seq"] // 32
+                assert counts[replica, "snapshot"] == 0
+            assert max(info["seq"] for info in statistics) >= 64
+            replica_pids = {pid for shard in group.shards for pid in shard.replica_pids()}
+            reads_by_pid = {pid: n for (pid, op), n in counts.items() if op == "matches_of"}
+            assert sum(reads_by_pid.values()) == len(reads)
+            assert set(reads_by_pid) <= replica_pids

@@ -7,8 +7,9 @@ replication layers (`src/repro/persistence/`) recover from:
     Run ``repro-serve --executor process`` twice over the same seeded
     stream — once undisturbed, once while SIGKILLing live shard worker
     processes mid-stream — and assert the delivered delta stream is
-    byte-identical and the stderr summary reports the respawns.  This is
-    the CI recovery smoke.
+    byte-identical, the stderr summary reports the respawns, and no worker
+    process seen during the faulted run (respawned ones included) outlives
+    ``repro-serve`` by more than 10 s.  This is the CI recovery smoke.
 
 ``kill-primary``
     Replay one seeded stream through a serial oracle group and a
@@ -69,6 +70,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -122,6 +124,15 @@ def _child_pids(pid: int):
     return children
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is still running (a zombie has already exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def cmd_kill_worker(args) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
@@ -148,6 +159,16 @@ def cmd_kill_worker(args) -> int:
             text=True,
             env=env,
         )
+        # Every worker pid seen while the run lasts, respawned ones included.
+        seen = set()
+
+        def watch_workers():
+            while process.poll() is None:
+                seen.update(_child_pids(process.pid))
+                time.sleep(0.05)
+
+        watcher = threading.Thread(target=watch_workers, daemon=True)
+        watcher.start()
         # Block until the first delivered delta: the replay is provably
         # mid-stream, so the SIGKILL lands on a worker with work left.
         first_line = process.stdout.readline()
@@ -175,6 +196,12 @@ def cmd_kill_worker(args) -> int:
             print(json.dumps({"error": "faulted run hung past the timeout"}))
             return 1
         stdout = first_line + stdout
+        watcher.join()
+        deadline = time.monotonic() + 10.0
+        orphans = sorted(pid for pid in seen if _running(pid))
+        while orphans and time.monotonic() < deadline:
+            time.sleep(0.1)
+            orphans = [pid for pid in orphans if _running(pid)]
 
     # The stderr summary is the last pretty-printed JSON object; worker
     # tracebacks (the kills) may precede it.
@@ -196,6 +223,8 @@ def cmd_kill_worker(args) -> int:
         "shard_replayed_ops": summary.get("shard_replayed_ops", []),
         "degraded_shards": summary.get("degraded_shards"),
         "deltas_delivered": summary.get("deltas_delivered"),
+        "workers_seen": len(seen),
+        "workers_orphaned": orphans,
     }
     print(json.dumps(verdict, indent=2, sort_keys=True))
     recovered = (
@@ -203,6 +232,7 @@ def cmd_kill_worker(args) -> int:
         and process.returncode == 0
         and len(killed) >= 1
         and sum(respawns) >= 1
+        and not orphans
     )
     return 0 if recovered else 1
 
