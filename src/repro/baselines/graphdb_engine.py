@@ -68,16 +68,7 @@ class GraphDBEngine(ContinuousEngine):
             self._edge_index.setdefault(key, set()).add(pattern.query_id)
 
     # ------------------------------------------------------------------
-    # Answering phase (per-update processing is a batch of one)
-    # ------------------------------------------------------------------
-    def _on_addition(self, edge: Edge) -> FrozenSet[str]:
-        return self._on_addition_batch([edge])
-
-    def _on_deletion(self, edge: Edge) -> FrozenSet[str]:
-        return self._on_deletion_batch([edge])
-
-    # ------------------------------------------------------------------
-    # Micro-batch processing
+    # Answering phase (one update is a micro-batch of one)
     # ------------------------------------------------------------------
     def _on_addition_batch(self, edges: Sequence[Edge]) -> FrozenSet[str]:
         """Write the whole batch to the store, then re-execute each affected

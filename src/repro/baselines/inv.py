@@ -97,9 +97,6 @@ class INVEngine(ContinuousEngine):
     # ------------------------------------------------------------------
     # Answering phase
     # ------------------------------------------------------------------
-    def _on_addition(self, edge: Edge) -> FrozenSet[str]:
-        return self._on_addition_batch([edge])
-
     def _on_addition_batch(self, edges: Sequence[Edge]) -> FrozenSet[str]:
         """Native micro-batch addition processing.
 
@@ -205,9 +202,6 @@ class INVEngine(ContinuousEngine):
                 if using_edge:
                     deltas.setdefault(path_index, set()).update(using_edge)
         return deltas
-
-    def _on_deletion(self, edge: Edge) -> FrozenSet[str]:
-        return self._on_deletion_batch([edge])
 
     def _on_deletion_batch(self, edges: Sequence[Edge]) -> FrozenSet[str]:
         """Native micro-batch deletion processing.

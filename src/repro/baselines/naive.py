@@ -37,37 +37,7 @@ class NaiveEngine(ContinuousEngine):
         """The naive engine needs no per-query index structures."""
 
     # ------------------------------------------------------------------
-    # Answering phase
-    # ------------------------------------------------------------------
-    def _on_addition(self, edge: Edge) -> FrozenSet[str]:
-        already_present = self._graph.has_edge(edge)
-        self._graph.add_edge(edge)
-        if already_present:
-            # A duplicate multigraph edge creates no new answers.
-            return frozenset()
-        matched: Set[str] = set()
-        for query_id, pattern in self._queries.items():
-            embeddings = find_new_embeddings(
-                self._graph, pattern, edge, injective=self.injective, limit=1
-            )
-            if embeddings:
-                matched.add(query_id)
-        return frozenset(matched)
-
-    def _on_deletion(self, edge: Edge) -> FrozenSet[str]:
-        self._graph.remove_edge(edge)
-        if self._graph.has_edge(edge):
-            # Another copy of the edge remains: no answer can disappear.
-            return frozenset()
-        invalidated: Set[str] = set()
-        for query_id in self._satisfied:
-            pattern = self._queries[query_id]
-            if not find_embeddings(self._graph, pattern, injective=self.injective, limit=1):
-                invalidated.add(query_id)
-        return frozenset(invalidated)
-
-    # ------------------------------------------------------------------
-    # Micro-batch processing
+    # Answering phase (one update is a micro-batch of one)
     # ------------------------------------------------------------------
     def _on_addition_batch(self, edges: Sequence[Edge]) -> FrozenSet[str]:
         """Apply the whole batch to the graph, then re-evaluate each query once."""
@@ -97,7 +67,7 @@ class NaiveEngine(ContinuousEngine):
                 any_gone = True
         if not any_gone:
             # Every deleted edge still has multigraph copies left: no answer
-            # can have disappeared (mirrors the per-update early exit).
+            # can have disappeared.
             return frozenset()
         invalidated: Set[str] = set()
         for query_id in self._satisfied:

@@ -17,14 +17,18 @@ uniformly.
 from __future__ import annotations
 
 import abc
+import itertools
 import types
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set
+from operator import attrgetter
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+)
 
 from ..graph.elements import Edge, Update, UpdateKind
 from ..graph.errors import DuplicateQueryError, UnknownQueryError
 from ..query.pattern import QueryGraphPattern
 
-__all__ = ["BatchReport", "ContinuousEngine", "MaintainedAnswerSource"]
+__all__ = ["BatchReport", "ContinuousEngine", "MaintainedAnswerSource", "kind_runs"]
 
 
 def _restore_report(notified, affected, additions, deletions):
@@ -164,6 +168,13 @@ class MaintainedAnswerSource(NamedTuple):
     interner: object
 
 
+def kind_runs(updates: Iterable[Update]) -> Iterator[Tuple[UpdateKind, List[Edge]]]:
+    """Split ``updates`` into maximal runs of one kind, in stream order:
+    ``(kind, edges)`` pairs."""
+    for kind, run in itertools.groupby(updates, key=attrgetter("kind")):
+        yield kind, [update.edge for update in run]
+
+
 class ContinuousEngine(abc.ABC):
     """Base class for continuous multi-query processing engines.
 
@@ -230,51 +241,37 @@ class ContinuousEngine(abc.ABC):
     # Stream consumption
     # ------------------------------------------------------------------
     def on_update(self, update: Update) -> "BatchReport":
-        """Process one stream update.
+        """Process one stream update: a micro-batch of one.
 
-        For an addition, returns the ids of queries that gained at least one
-        new answer because of this update.  For a deletion, returns the ids
-        of queries that were satisfied before and no longer have any answer.
-        The result is a :class:`BatchReport` — a frozenset of those ids that
-        additionally carries the batch's *affected-query* set (when the
-        engine can narrow it) for the serving layer.
+        For an addition, the report holds the ids of queries that gained at
+        least one new answer because of this update.  For a deletion, it
+        holds the ids of queries that were satisfied before and no longer
+        have any answer.  The result is a :class:`BatchReport` — a
+        frozenset of those ids that additionally carries the
+        *affected-query* set (when the engine can narrow it) for the
+        serving layer.
         """
-        self._updates_processed += 1
-        if update.kind is UpdateKind.ADD:
-            report = BatchReport.wrap(self._on_addition(update.edge), additions=1)
-            self._satisfied.update(report)
-            return report
-        report = BatchReport.wrap(self._on_deletion(update.edge), deletions=1)
-        self._satisfied.difference_update(report)
-        return report
+        return self.on_batch([update])
 
     def on_batch(self, updates: Sequence[Update]) -> "BatchReport":
-        """Process a micro-batch of stream updates.
+        """Process a micro-batch of stream updates — the one stream path.
 
-        Returns the union of the notifications a per-update replay of the
-        batch would emit: ids of queries that gained new answers through the
-        batch's additions plus ids of queries invalidated by its deletions.
-        The final engine state is identical to processing the updates one by
-        one (batching is answer-equivalent).  The result is a
-        :class:`BatchReport`; its ``affected`` set unions the per-run
-        affected sets (and degrades to ``None`` when any run could not
-        narrow its own).
+        Returns the union of the notifications the batch's updates would
+        emit one batch of one at a time: ids of queries that gained new
+        answers through the batch's additions plus ids of queries
+        invalidated by its deletions.  The final engine state is identical
+        to processing the updates one by one (batching is
+        answer-equivalent).  The result is a :class:`BatchReport`; its
+        ``affected`` set unions the per-run affected sets (and degrades to
+        ``None`` when any run could not narrow its own).
 
-        Consecutive updates of the same kind form *runs* that are handed to
-        the per-kind batch hooks, which engines override with native
-        micro-batch implementations (one delta join per affected structure
-        per run instead of one per update).  The default hooks fall back to
-        per-update processing.
+        Consecutive updates of the same kind form *runs* (:func:`kind_runs`)
+        that are handed to the per-kind batch hooks, which every engine
+        implements natively (one delta join per affected structure per run
+        instead of one per update).
         """
-        updates = list(updates)
         reports: List[BatchReport] = []
-        start = 0
-        while start < len(updates):
-            kind = updates[start].kind
-            stop = start
-            while stop < len(updates) and updates[stop].kind is kind:
-                stop += 1
-            edges = [update.edge for update in updates[start:stop]]
+        for kind, edges in kind_runs(updates):
             self._updates_processed += len(edges)
             if kind is UpdateKind.ADD:
                 matched = BatchReport.wrap(
@@ -287,22 +284,7 @@ class ContinuousEngine(abc.ABC):
                 )
                 self._satisfied.difference_update(matched)
             reports.append(matched)
-            start = stop
         return BatchReport.merge(reports)
-
-    def process(self, updates: Iterable[Update]) -> List[FrozenSet[str]]:
-        """Process many updates; returns the per-update answer sets."""
-        return [self.on_update(update) for update in updates]
-
-    def process_batches(self, updates: Iterable[Update], batch_size: int) -> List[FrozenSet[str]]:
-        """Process ``updates`` in micro-batches; returns per-batch answer sets."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        updates = list(updates)
-        return [
-            self.on_batch(updates[start : start + batch_size])
-            for start in range(0, len(updates), batch_size)
-        ]
 
     @property
     def updates_processed(self) -> int:
@@ -321,41 +303,16 @@ class ContinuousEngine(abc.ABC):
         """Index ``pattern`` into the engine's data structures."""
 
     @abc.abstractmethod
-    def _on_addition(self, edge: Edge) -> FrozenSet[str]:
-        """Handle an edge addition; return queries with new answers."""
-
-    @abc.abstractmethod
-    def _on_deletion(self, edge: Edge) -> FrozenSet[str]:
-        """Handle an edge deletion; return queries that lost all answers."""
-
     def _on_addition_batch(self, edges: Sequence[Edge]) -> FrozenSet[str]:
         """Handle a run of edge additions; return queries with new answers.
 
-        Default fallback: per-edge processing (``_satisfied`` is kept in
-        step between edges so semantics match a per-update replay exactly).
-        Engines override this with native micro-batch processing.  Per-edge
-        results that carry a native affected set merge into the run's
-        report; one bare frozenset degrades the run to affected-unknown.
+        The result may be a plain frozenset (affected unknown) or a
+        :class:`BatchReport` carrying the run's native affected set.
         """
-        per_edge: List[BatchReport] = []
-        for edge in edges:
-            new = BatchReport.wrap(self._on_addition(edge), additions=1)
-            self._satisfied.update(new)
-            per_edge.append(new)
-        return BatchReport.merge(per_edge)
 
+    @abc.abstractmethod
     def _on_deletion_batch(self, edges: Sequence[Edge]) -> FrozenSet[str]:
-        """Handle a run of edge deletions; return queries that lost all answers.
-
-        Default fallback: per-edge processing, mirroring
-        :meth:`_on_addition_batch`.
-        """
-        per_edge: List[BatchReport] = []
-        for edge in edges:
-            gone = BatchReport.wrap(self._on_deletion(edge), deletions=1)
-            self._satisfied.difference_update(gone)
-            per_edge.append(gone)
-        return BatchReport.merge(per_edge)
+        """Handle a run of edge deletions; return queries that lost all answers."""
 
     @abc.abstractmethod
     def matches_of(self, query_id: str) -> List[Dict[str, str]]:

@@ -162,9 +162,6 @@ class TRICEngine(ContinuousEngine):
     # ------------------------------------------------------------------
     # Answering phase — additions (paper Figs. 8 and 10)
     # ------------------------------------------------------------------
-    def _on_addition(self, edge: Edge) -> FrozenSet[str]:
-        return self._on_addition_batch([edge])
-
     def _on_addition_batch(self, edges: Sequence[Edge]) -> FrozenSet[str]:
         """Native micro-batch addition processing.
 
@@ -267,9 +264,6 @@ class TRICEngine(ContinuousEngine):
     # ------------------------------------------------------------------
     # Answering phase — deletions (extension, paper Section 4.3)
     # ------------------------------------------------------------------
-    def _on_deletion(self, edge: Edge) -> FrozenSet[str]:
-        return self._on_deletion_batch([edge])
-
     def _on_deletion_batch(self, edges: Sequence[Edge]) -> FrozenSet[str]:
         """Native micro-batch deletion processing.
 

@@ -105,7 +105,7 @@ def create_sharded_engine(
 ) -> ContinuousEngine:
     """Engine ``name``, sharded across ``num_shards`` instances when > 1.
 
-    With ``num_shards <= 1`` (and no replicas) this is exactly
+    With ``num_shards == 1`` (and no replicas) this is exactly
     :func:`create_engine`; otherwise the query database is partitioned
     across independent engine instances behind a
     :class:`~repro.pubsub.sharding.ShardedEngineGroup` (``assignment`` is
@@ -132,6 +132,9 @@ def create_sharded_engine(
     :meth:`DurableEngine.recover <repro.persistence.durable.DurableEngine.recover>`
     resumes byte-identically after a crash.
     """
+    from .pubsub.sharding import ShardedEngineGroup, check_group_options
+
+    check_group_options(num_shards, assignment, executor, replicas)
     if journal_dir is not None:
         from .persistence import DurableEngine
 
@@ -147,18 +150,16 @@ def create_sharded_engine(
         return DurableEngine(
             engine, journal_dir, snapshot_every=snapshot_every, fsync=journal_fsync
         )
-    if num_shards <= 1 and replicas <= 0:
+    if num_shards == 1 and not replicas:
         return create_engine(name, **kwargs)
     if name not in ENGINE_FACTORIES:
         raise EngineError(
             f"unknown engine {name!r}; available engines: {', '.join(ENGINE_FACTORIES)}"
         )
-    from .pubsub.sharding import ShardedEngineGroup
-
     injective = bool(kwargs.pop("injective", False))
     return ShardedEngineGroup(
         name,
-        max(1, num_shards),
+        num_shards,
         assignment=assignment,
         executor=executor,
         injective=injective,

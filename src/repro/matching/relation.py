@@ -358,32 +358,11 @@ class Relation:
         """Shallow copy with the same schema and rows."""
         return Relation(self.schema, self.rows)
 
-    def project(self, columns: Sequence[str]) -> "Relation":
-        """Project onto ``columns`` (duplicates collapse, set semantics)."""
-        indices = [self.column_index(c) for c in columns]
-        return Relation(columns, {tuple(row[i] for i in indices) for row in self.rows})
-
-    def rename(self, mapping: Dict[str, str]) -> "Relation":
-        """Return a relation with columns renamed through ``mapping``."""
-        new_schema = tuple(mapping.get(c, c) for c in self.schema)
-        result = Relation(new_schema, self.rows)
-        return result
-
-    def select_equal(self, column: str, value: str) -> "Relation":
-        """Rows where ``column == value``."""
-        index = self.column_index(column)
-        return Relation(self.schema, {row for row in self.rows if row[index] == value})
-
     def select_positions_equal(self, positions: Sequence[Tuple[int, int]]) -> "Relation":
         """Rows where every ``(i, j)`` pair of positions holds equal values."""
         if not positions:
             return self.copy()
         return Relation(self.schema, rows_with_equal_positions(self.rows, positions))
-
-    def distinct_values(self, column: str) -> Set[str]:
-        """Distinct values appearing in ``column``."""
-        index = self.column_index(column)
-        return {row[index] for row in self.rows}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Relation(schema={self.schema}, rows={len(self.rows)})"

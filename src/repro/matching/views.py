@@ -99,21 +99,14 @@ class EdgeViewRegistry:
             return []
         return [key for key in candidate_keys_for_edge(edge) if key in self._views]
 
-    def apply_addition(self, edge: Edge) -> List[Tuple[EdgeKey, bool]]:
+    def _apply_addition(self, edge: Edge) -> Tuple[List[Tuple[EdgeKey, bool]], Row | None]:
         """Add ``edge`` to every view it satisfies.
 
-        Returns a list of ``(key, is_new)`` pairs for the affected views;
-        ``is_new`` is ``False`` when the tuple was already present (duplicate
-        multigraph edge), in which case downstream deltas are empty.
-        """
-        return self._apply_addition(edge)[0]
-
-    def _apply_addition(self, edge: Edge) -> Tuple[List[Tuple[EdgeKey, bool]], Row | None]:
-        """:meth:`apply_addition` plus the interned row (``None`` if unmatched).
-
-        Endpoints are only interned once the edge is known to match a
-        registered key, so non-matching stream traffic never grows the
-        vertex dictionary.
+        Returns the ``(key, is_new)`` pairs of the affected views — ``is_new``
+        is ``False`` when the tuple was already present (duplicate multigraph
+        edge) — and the interned row (``None`` if unmatched).  Endpoints are
+        only interned once the edge is known to match a registered key, so
+        non-matching stream traffic never grows the vertex dictionary.
         """
         keys = self.matching_keys(edge)
         if not keys:
@@ -126,16 +119,13 @@ class EdgeViewRegistry:
             results.append((key, is_new))
         return results, row
 
-    def apply_deletion(self, edge: Edge) -> List[EdgeKey]:
-        """Remove one copy of ``edge``; return the keys whose view changed.
+    def _apply_deletion(self, edge: Edge) -> Tuple[List[EdgeKey], Row | None]:
+        """Remove one copy of ``edge``: the keys whose view changed and the
+        interned row (``None`` if unmatched).
 
         With multigraph semantics the tuple only leaves the views once the
         last remaining copy of the edge has been deleted.
         """
-        return self._apply_deletion(edge)[0]
-
-    def _apply_deletion(self, edge: Edge) -> Tuple[List[EdgeKey], Row | None]:
-        """:meth:`apply_deletion` plus the interned row (``None`` if unmatched)."""
         keys = self.matching_keys(edge)
         if not keys:
             return [], None

@@ -3,9 +3,10 @@
 :class:`DurableEngine` wraps any :class:`~repro.core.engine.ContinuousEngine`
 (including a sharded group) with the classic write-ahead contract:
 
-1. every state-changing call (``register``, ``on_update``, ``on_batch``) is
-   appended to the :class:`~repro.persistence.journal.DeltaJournal` and
-   fsynced **before** it is applied to the wrapped engine;
+1. every state-changing call (``register``, ``on_batch`` — ``on_update``
+   is a batch of one) is appended to the
+   :class:`~repro.persistence.journal.DeltaJournal` and fsynced **before**
+   it is applied to the wrapped engine;
 2. every ``snapshot_every`` journal records, the full engine state is
    written to an atomically-replaced snapshot file and the journal is
    reset (the snapshot now covers it);
@@ -25,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..core.engine import BatchReport, ContinuousEngine
 from ..graph.elements import Update
@@ -300,20 +301,6 @@ class DurableEngine:
     def on_update(self, update: Update) -> BatchReport:
         """Durably process one stream update (a one-record micro-batch)."""
         return self.on_batch([update])
-
-    def process(self, updates) -> List[BatchReport]:
-        """Durably process many updates; returns per-update reports."""
-        return [self.on_update(update) for update in updates]
-
-    def process_batches(self, updates, batch_size: int) -> List[BatchReport]:
-        """Durably process ``updates`` in micro-batches of ``batch_size``."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        updates = list(updates)
-        return [
-            self.on_batch(updates[start : start + batch_size])
-            for start in range(0, len(updates), batch_size)
-        ]
 
     def _apply(self, call, *args):
         if self.faults is not None:

@@ -82,10 +82,7 @@ def run_batch(
     """One shard's share of a micro-batch: its report, the satisfied-set
     it leaves behind, and the engine seconds spent."""
     start = time.perf_counter()
-    if len(updates) == 1:
-        report = engine.on_update(updates[0])
-    else:
-        report = engine.on_batch(updates)
+    report = engine.on_batch(updates)
     return report, engine.satisfied_queries(), time.perf_counter() - start
 
 

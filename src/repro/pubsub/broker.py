@@ -505,9 +505,8 @@ class SubscriptionBroker:
     # Stream driving and delta delivery
     # ------------------------------------------------------------------
     def on_update(self, update: Update) -> BrokerTick:
-        """Process one stream update and flush deltas to subscribers."""
-        notified = self.engine.on_update(update)
-        return self.flush(notified)
+        """Process one stream update (a micro-batch of one) and flush."""
+        return self.on_batch([update])
 
     def on_batch(self, updates: Sequence[Update]) -> BrokerTick:
         """Process a micro-batch and flush deltas once for the whole batch."""

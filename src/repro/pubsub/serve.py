@@ -158,6 +158,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--updates and --queries must be positive")
     if args.batch_size < 1:
         parser.error("--batch-size must be at least 1")
+    if args.shards < 1:
+        parser.error("--shards must be at least 1")
+    if args.replicas < 0:
+        parser.error("--replicas must not be negative")
+    if not 0.0 <= args.deletions <= 1.0:
+        parser.error("--deletions must be a fraction in [0, 1]")
     if args.engine not in available_engines():
         parser.error(f"unknown engine {args.engine!r}; known: {', '.join(available_engines())}")
 

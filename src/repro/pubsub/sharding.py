@@ -55,7 +55,7 @@ import zlib
 from collections import Counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.engine import BatchReport, ContinuousEngine, MaintainedAnswerSource
+from ..core.engine import BatchReport, ContinuousEngine, MaintainedAnswerSource, kind_runs
 from ..graph.elements import Edge, Update, UpdateKind
 from ..graph.errors import EngineError, PersistenceError
 from ..persistence.replication import ShardSupervisor
@@ -70,6 +70,30 @@ EngineFactory = Callable[[], ContinuousEngine]
 
 #: Supported fan-out executors (the one list every CLI and config imports).
 SHARD_EXECUTORS = ("serial", "process")
+
+
+def check_group_options(
+    num_shards: int, assignment: str, executor: str, replicas: int
+) -> None:
+    """Raise :class:`EngineError` unless the options describe a valid group."""
+    if num_shards < 1:
+        raise EngineError("num_shards must be at least 1")
+    if assignment not in ("hash", "label"):
+        raise EngineError(
+            f"unknown shard assignment {assignment!r}; options: hash, label"
+        )
+    if executor not in SHARD_EXECUTORS:
+        raise EngineError(
+            f"unknown shard executor {executor!r}; options: "
+            + ", ".join(SHARD_EXECUTORS)
+        )
+    if replicas < 0:
+        raise EngineError("replicas must be non-negative")
+    if replicas and executor != "process":
+        raise EngineError(
+            "replicas require the process executor (a replica is a "
+            "worker process tailing its primary's op log)"
+        )
 
 
 class ShardedEngineGroup(ContinuousEngine):
@@ -134,24 +158,7 @@ class ShardedEngineGroup(ContinuousEngine):
         respawn_window: float = 60.0,
     ) -> None:
         super().__init__(injective=injective)
-        if num_shards < 1:
-            raise EngineError("num_shards must be at least 1")
-        if assignment not in ("hash", "label"):
-            raise EngineError(
-                f"unknown shard assignment {assignment!r}; options: hash, label"
-            )
-        if executor not in SHARD_EXECUTORS:
-            raise EngineError(
-                f"unknown shard executor {executor!r}; options: "
-                + ", ".join(SHARD_EXECUTORS)
-            )
-        if replicas < 0:
-            raise EngineError("replicas must be non-negative")
-        if replicas and executor != "process":
-            raise EngineError(
-                "replicas require the process executor (a replica is a "
-                "worker process tailing its primary's op log)"
-            )
+        check_group_options(num_shards, assignment, executor, replicas)
         if not isinstance(worker_snapshot_every, int) or worker_snapshot_every < 1:
             raise EngineError("worker_snapshot_every must be an integer >= 1")
         if respawn_window is None:
@@ -459,19 +466,12 @@ class ShardedEngineGroup(ContinuousEngine):
         """
         # Record history in stream order, one run of each kind at a time.
         additions = deletions = 0
-        start = 0
-        while start < len(updates):
-            kind = updates[start].kind
-            stop = start
-            while stop < len(updates) and updates[stop].kind is kind:
-                stop += 1
-            run = [update.edge for update in updates[start:stop]]
+        for kind, run in kind_runs(updates):
             self._record_history(run, kind)
             if kind is UpdateKind.ADD:
                 additions += len(run)
             else:
                 deletions += len(run)
-            start = stop
         jobs: List[Tuple[int, List[Update]]] = []
         for index, labels in enumerate(self._shard_labels):
             relevant = [update for update in updates if update.edge.label in labels]
@@ -518,11 +518,11 @@ class ShardedEngineGroup(ContinuousEngine):
             ]
         return [run_batch(self.shards[index], updates) for index, updates in jobs]
 
-    def _on_addition(self, edge: Edge) -> FrozenSet[str]:
-        return self._fan_out_updates([Update(edge, UpdateKind.ADD)])
+    def _on_addition_batch(self, edges: Sequence[Edge]) -> BatchReport:
+        return self._fan_out_updates([Update(edge, UpdateKind.ADD) for edge in edges])
 
-    def _on_deletion(self, edge: Edge) -> FrozenSet[str]:
-        return self._fan_out_updates([Update(edge, UpdateKind.DELETE)])
+    def _on_deletion_batch(self, edges: Sequence[Edge]) -> BatchReport:
+        return self._fan_out_updates([Update(edge, UpdateKind.DELETE) for edge in edges])
 
     # ------------------------------------------------------------------
     # Answers (routed to the owning shard)

@@ -43,9 +43,9 @@ TickHook = Callable[[int, Sequence[Update], FrozenSet[str]], None]
 class ReplayResult:
     """Outcome of replaying one stream through one engine.
 
-    ``answering`` holds one sample per tick (an ``on_update`` call for a
-    one-update tick, an ``on_batch`` call otherwise) and ``matched_updates``
-    counts the ticks that produced a non-empty answer set.
+    ``answering`` holds one sample per tick (one ``on_batch`` call) and
+    ``matched_updates`` counts the ticks that produced a non-empty answer
+    set.
     """
 
     engine: str
@@ -161,8 +161,8 @@ def replay(
     and the delivery counters are accumulated on the result.  ``ticks`` is
     any iterable of update sequences — ``SyntheticWorkload.iter_ticks()``,
     list slices ``updates[i : i + n]``, or ``[[u] for u in updates]`` for a
-    per-update replay.  A one-update tick goes through ``on_update``, a
-    longer one through ``on_batch`` (answer-equivalent, amortised).
+    per-update replay.  Every tick is one ``on_batch`` call, whatever its
+    size.
 
     With ``poll_every > 0``, every ``poll_every`` processed updates the loop
     polls ``matches_of`` for every satisfied query — the ``matches_of``-heavy
@@ -190,10 +190,7 @@ def replay(
         size = len(tick)
         result.num_updates += size
         start = time.perf_counter()
-        if size == 1:
-            report = target.on_update(tick[0])
-        else:
-            report = target.on_batch(tick)
+        report = target.on_batch(tick)
         elapsed = time.perf_counter() - start
         result.answering.record(elapsed)
         result.updates_processed += size

@@ -14,9 +14,16 @@ import random
 
 import pytest
 
-from repro import ENGINE_FACTORIES, TRICEngine, TRICPlusEngine, add, create_engine, delete
-from repro.baselines.naive import NaiveEngine
-from repro.core.engine import ContinuousEngine
+from repro import (
+    ENGINE_FACTORIES,
+    TRICEngine,
+    TRICPlusEngine,
+    add,
+    create_engine,
+    create_sharded_engine,
+    delete,
+)
+from repro.persistence import DurableEngine
 from repro.streams import replay
 
 from test_equivalence import _random_query
@@ -43,6 +50,21 @@ def _random_stream(rng: random.Random, num_updates: int, deletion_rate: float):
 def _ticks(updates, size: int):
     updates = list(updates)
     return [updates[i : i + size] for i in range(0, len(updates), size)]
+
+
+#: Every engine name, plus a serial and a process shard group and a
+#: durable wrapper — each surface that exposes ``on_update``.
+SINGLE_UPDATE_TARGETS = ALL_ENGINE_NAMES + ["sharded-serial", "sharded-process", "durable"]
+
+
+def _single_update_target(target: str, directory):
+    if target == "sharded-serial":
+        return create_sharded_engine("TRIC+", 2)
+    if target == "sharded-process":
+        return create_sharded_engine("TRIC+", 2, executor="process")
+    if target == "durable":
+        return DurableEngine(create_engine("TRIC+"), directory, fsync=False)
+    return create_engine(target)
 
 
 def _random_workload(seed: int, num_queries: int = 8):
@@ -74,37 +96,32 @@ class TestBatchedEquivalence:
         for query in queries:
             assert batched.matches_of(query.query_id) == per_update.matches_of(query.query_id)
 
-    @pytest.mark.parametrize("engine_name", ALL_ENGINE_NAMES)
-    def test_single_update_batch_equals_on_update(self, engine_name):
+    @pytest.mark.parametrize("target", SINGLE_UPDATE_TARGETS)
+    def test_single_update_batch_equals_on_update(self, target, tmp_path):
+        """``on_batch([u])`` and ``on_update(u)`` are the same call: same
+        notified ids, affected set and counters, same engine counters."""
         rng, queries = _random_workload(seed=9, num_queries=5)
         updates = _random_stream(rng, num_updates=60, deletion_rate=0.2)
-        one_by_one = create_engine(engine_name)
-        batched = create_engine(engine_name)
-        for engine in (one_by_one, batched):
-            engine.register_all(queries)
-        for update in updates:
-            assert batched.on_batch([update]) == one_by_one.on_update(update)
-
-
-class _FallbackNaive(NaiveEngine):
-    """Naive engine with the base class's per-update batch fallbacks."""
-
-    _on_addition_batch = ContinuousEngine._on_addition_batch
-    _on_deletion_batch = ContinuousEngine._on_deletion_batch
-
-
-class TestFallbackBatching:
-    def test_fallback_agrees_with_native_batching(self):
-        rng, queries = _random_workload(seed=13, num_queries=6)
-        updates = _random_stream(rng, num_updates=80, deletion_rate=0.3)
-        fallback = _FallbackNaive()
-        native = NaiveEngine()
-        for engine in (fallback, native):
-            engine.register_all(queries)
-        for start in range(0, len(updates), 7):
-            window = updates[start : start + 7]
-            assert fallback.on_batch(window) == native.on_batch(window)
-        assert fallback.satisfied_queries() == native.satisfied_queries()
+        one_by_one = _single_update_target(target, tmp_path / "one")
+        batched = _single_update_target(target, tmp_path / "batched")
+        try:
+            for engine in (one_by_one, batched):
+                engine.register_all(queries)
+            for index, update in enumerate(updates):
+                expected = one_by_one.on_update(update)
+                report = batched.on_batch([update])
+                assert report == expected, f"update {index}"
+                assert report.affected == expected.affected, f"update {index}"
+                assert (report.additions, report.deletions) == (
+                    expected.additions,
+                    expected.deletions,
+                ), f"update {index}"
+                assert batched.updates_processed == one_by_one.updates_processed
+                assert batched.satisfied_queries() == one_by_one.satisfied_queries()
+        finally:
+            for engine in (one_by_one, batched):
+                if hasattr(engine, "close"):
+                    engine.close()
 
 
 class TestDeletionHotPath:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ENGINE_FACTORIES, add, create_engine, delete
+from repro.core.engine import ContinuousEngine
 from repro.graph import GraphStream
 from repro.graph.errors import DuplicateQueryError, UnknownQueryError
 from repro.query import QueryBuilder
@@ -49,9 +50,9 @@ class TestQueryManagement:
 
 
 class TestStreamConsumption:
-    def test_process_returns_per_update_answers(self, engine, checkin_query, checkin_stream):
+    def test_on_update_returns_per_update_answers(self, engine, checkin_query, checkin_stream):
         engine.register(checkin_query)
-        answers = engine.process(checkin_stream)
+        answers = [engine.on_update(update) for update in checkin_stream]
         assert len(answers) == len(checkin_stream)
         assert answers[-1] == frozenset({"checkin"})
         assert engine.updates_processed == len(checkin_stream)
@@ -72,7 +73,7 @@ class TestStreamConsumption:
 
     def test_describe_contains_counters(self, engine, checkin_query, checkin_stream):
         engine.register(checkin_query)
-        engine.process(checkin_stream)
+        engine.on_batch(checkin_stream)
         description = engine.describe()
         assert description["queries"] == 1
         assert description["updates_processed"] == len(checkin_stream)
@@ -82,8 +83,10 @@ class TestStreamConsumption:
     def test_engines_accept_graphstream_and_plain_lists(self, engine, checkin_query):
         engine.register(checkin_query)
         stream = GraphStream([add("knows", "a", "b")])
-        assert engine.process(stream) == [frozenset()]
-        assert engine.process([add("checksIn", "a", "rio")]) == [frozenset()]
+        assert engine.on_batch(stream) == frozenset()
+        assert engine.on_batch([add("checksIn", "a", "rio")]) == frozenset()
+        assert engine.on_update(add("checksIn", "b", "rio")) == frozenset({"checkin"})
+        assert engine.updates_processed == 3
 
 
 class TestBatchConsumption:
@@ -103,12 +106,22 @@ class TestBatchConsumption:
         assert notified == frozenset({"q1"})
         assert engine.satisfied_queries() == {"q1"}
 
-    def test_process_batches_matches_per_update_union(self, engine, checkin_query, checkin_stream):
+    def test_windowed_on_batch_matches_per_update_union(
+        self, engine, checkin_query, checkin_stream
+    ):
         engine.register(checkin_query)
-        answers = engine.process_batches(checkin_stream, batch_size=2)
-        assert len(answers) == 2
+        updates = list(checkin_stream)
+        answers = [
+            engine.on_batch(updates[start : start + 2]) for start in range(0, len(updates), 2)
+        ]
         assert answers == [frozenset(), frozenset({"checkin"})]
+        assert engine.updates_processed == len(updates)
 
-    def test_process_batches_rejects_bad_batch_size(self, engine):
-        with pytest.raises(ValueError):
-            engine.process_batches([], batch_size=0)
+
+def test_the_batch_hooks_are_the_only_stream_hooks():
+    assert ContinuousEngine.__abstractmethods__ == {
+        "_index_query",
+        "_on_addition_batch",
+        "_on_deletion_batch",
+        "matches_of",
+    }

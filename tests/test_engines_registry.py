@@ -11,6 +11,7 @@ from repro import (
     available_engines,
     create_engine,
     create_engines,
+    create_sharded_engine,
 )
 from repro.core.engine import ContinuousEngine
 from repro.graph.errors import EngineError
@@ -55,3 +56,26 @@ class TestRegistry:
             "GraphDB",
             "Naive",
         }
+
+
+class TestCreateShardedEngine:
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((0,), {}),
+            ((-2,), {}),
+            ((1,), {"replicas": -1}),
+            ((1,), {"executor": "thread"}),
+            ((1,), {"assignment": "bogus"}),
+        ],
+        ids=[
+            "zero-shards",
+            "negative-shards",
+            "negative-replicas",
+            "thread-executor",
+            "bogus-assignment",
+        ],
+    )
+    def test_invalid_options_raise_even_for_one_shard(self, args, kwargs):
+        with pytest.raises(EngineError):
+            create_sharded_engine("TRIC+", *args, **kwargs)

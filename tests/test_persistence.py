@@ -556,11 +556,17 @@ class TestDurableEngineMechanics:
     def test_update_counter_and_per_update_paths(self, tmp_path):
         durable = DurableEngine(ENGINE_FACTORIES["TRIC+"](), tmp_path / "d")
         durable.register_all(patterns())
-        reports = durable.process(interleaved_stream(6))
-        assert len(reports) == len(interleaved_stream(6))
-        durable.process_batches(interleaved_stream(6, seed=3), 2)
-        with pytest.raises(ValueError):
-            durable.process_batches([], 0)
+        updates = interleaved_stream(6)
+        reports = [durable.on_update(update) for update in updates]
+        assert [report.updates for report in reports] == [1] * len(updates)
+        for batch in batches_of(interleaved_stream(6, seed=3), 2):
+            durable.on_batch(batch)
+        assert durable.updates_processed == 2 * len(updates)
+        # One ``batch`` journal record per call, one update each for on_update.
+        records, _ = durable.journal.replay()
+        batches = [len(record.updates()) for record in records if record.op == "batch"]
+        assert batches[: len(updates)] == [1] * len(updates)
+        assert len(batches) == len(updates) + len(batches_of(updates, 2))
         durable.close()
 
 

@@ -206,30 +206,10 @@ class TestCountedRelation:
 
 
 class TestRelationalOperators:
-    def test_project(self):
-        relation = Relation(("a", "b"), [("1", "2"), ("1", "3")])
-        projected = relation.project(("a",))
-        assert projected.schema == ("a",)
-        assert projected.rows == {("1",)}
-
-    def test_rename(self):
-        relation = Relation(("a", "b"), [("1", "2")])
-        renamed = relation.rename({"a": "x"})
-        assert renamed.schema == ("x", "b")
-        assert renamed.rows == relation.rows
-
-    def test_select_equal(self):
-        relation = Relation(("a", "b"), [("1", "2"), ("3", "2"), ("1", "4")])
-        assert relation.select_equal("a", "1").rows == {("1", "2"), ("1", "4")}
-
     def test_select_positions_equal(self):
         relation = Relation(("a", "b", "c"), [("x", "y", "x"), ("x", "y", "z")])
         filtered = relation.select_positions_equal([(0, 2)])
         assert filtered.rows == {("x", "y", "x")}
-
-    def test_distinct_values(self):
-        relation = Relation(("a", "b"), [("1", "2"), ("3", "2")])
-        assert relation.distinct_values("b") == {"2"}
 
 
 class TestNaturalJoin:

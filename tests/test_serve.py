@@ -46,6 +46,25 @@ def _no_pending_sighup():
     serve._SIGHUP_PENDING["flag"] = False
 
 
+class TestServeArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--shards", "0"],
+            ["--shards", "-3"],
+            ["--replicas", "-1"],
+            ["--deletions", "1.5"],
+            ["--deletions", "-0.5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_of_range_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            serve.main(["--updates", "20", "--queries", "5"] + argv)
+        assert exit_info.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
+
 class TestServePins:
     @pytest.mark.parametrize("batch_size", sorted(PINS))
     def test_stdout_and_counts_are_pinned(self, capsys, batch_size):

@@ -99,7 +99,8 @@ class TestReplay:
         assert result.memory_bytes is None
         assert result.as_dict()["engine"] == "TRIC+"
 
-    def test_one_update_ticks_use_on_update_and_longer_ones_on_batch(self, checkin_query):
+    @pytest.mark.parametrize("through_broker", [False, True], ids=["engine", "broker"])
+    def test_every_tick_reaches_on_batch_exactly_once(self, checkin_query, through_broker):
         calls = []
 
         class Spy(TRICEngine):
@@ -113,9 +114,10 @@ class TestReplay:
 
         engine = Spy()
         engine.register(checkin_query)
+        target = SubscriptionBroker(engine) if through_broker else engine
         ticks = [[add("knows", "a", "b")], [add("knows", "b", "c"), add("knows", "c", "d")]]
-        result = replay(engine, ticks)
-        assert calls == ["update", ("batch", 2)]
+        result = replay(target, ticks)
+        assert calls == [("batch", 1), ("batch", 2)]
         assert result.answering.count == 2
         assert result.updates_processed == 3
 

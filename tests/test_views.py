@@ -52,26 +52,28 @@ class TestStreamMaintenance:
         registry = EdgeViewRegistry()
         registry.register(EdgeKey("posted", ANY, "pst1"))
         registry.register(EdgeKey("posted", ANY, ANY))
-        changed = registry.apply_addition(Edge("posted", "p1", "pst1"))
-        assert {key for key, _ in changed} == {
+        new_by_key = registry.apply_additions([Edge("posted", "p1", "pst1")])
+        assert set(new_by_key) == {
             EdgeKey("posted", ANY, "pst1"),
             EdgeKey("posted", ANY, ANY),
         }
-        assert all(is_new for _, is_new in changed)
+        assert all(len(rows) == 1 for rows in new_by_key.values())
         assert registry.total_rows() == 2
 
     def test_duplicate_addition_reports_not_new(self):
         registry = EdgeViewRegistry()
         registry.register(EdgeKey("posted", ANY, ANY))
-        registry.apply_addition(Edge("posted", "p1", "pst1"))
-        changed = registry.apply_addition(Edge("posted", "p1", "pst1"))
-        assert changed == [(EdgeKey("posted", ANY, ANY), False)]
+        registry.apply_additions([Edge("posted", "p1", "pst1")])
+        # The second copy is not new: the view gains no tuple.
+        assert registry.apply_additions([Edge("posted", "p1", "pst1")]) == {}
         assert registry.multiplicity(Edge("posted", "p1", "pst1")) == 2
+        assert registry.total_rows() == 1
 
     def test_non_matching_addition_is_ignored(self):
         registry = EdgeViewRegistry()
         registry.register(EdgeKey("posted", ANY, ANY))
-        assert registry.apply_addition(Edge("likes", "p1", "pst1")) == []
+        assert registry.apply_additions([Edge("likes", "p1", "pst1")]) == {}
+        assert registry.multiplicity(Edge("likes", "p1", "pst1")) == 0
         assert registry.total_rows() == 0
 
     def test_deletion_removes_tuple_only_when_last_copy_goes(self):
@@ -79,15 +81,18 @@ class TestStreamMaintenance:
         key = EdgeKey("posted", ANY, ANY)
         registry.register(key)
         edge = Edge("posted", "p1", "pst1")
-        registry.apply_addition(edge)
-        registry.apply_addition(edge)
-        assert registry.apply_deletion(edge) == []           # one copy remains
+        registry.apply_additions([edge])
+        registry.apply_additions([edge])
+        assert registry.apply_deletions([edge]) == {}        # one copy remains
+        assert registry.multiplicity(edge) == 1
         assert len(registry.view(key)) == 1
-        assert registry.apply_deletion(edge) == [key]        # last copy removed
+        removed = registry.apply_deletions([edge])           # last copy removed
+        assert list(removed) == [key] and len(removed[key]) == 1
+        assert registry.multiplicity(edge) == 0
         assert len(registry.view(key)) == 0
 
     def test_deletion_of_unknown_edge_is_a_noop(self):
         registry = EdgeViewRegistry()
         registry.register(EdgeKey("posted", ANY, ANY))
-        assert registry.apply_deletion(Edge("posted", "p1", "pst1")) == []
-        assert registry.apply_deletion(Edge("likes", "p1", "pst1")) == []
+        assert registry.apply_deletions([Edge("posted", "p1", "pst1")]) == {}
+        assert registry.apply_deletions([Edge("likes", "p1", "pst1")]) == {}
