@@ -18,10 +18,10 @@ Quickstart
 ...     .edge("checksIn", "?b", "?place")
 ...     .build()
 ... )
->>> engine.on_update(add("knows", "alice", "bob"))
-frozenset()
->>> engine.on_update(add("checksIn", "alice", "rio"))
-frozenset()
+>>> engine.on_update(add("knows", "alice", "bob")) == frozenset()
+True
+>>> engine.on_update(add("checksIn", "alice", "rio")) == frozenset()
+True
 >>> sorted(engine.on_update(add("checksIn", "bob", "rio")))
 ['checkin']
 """

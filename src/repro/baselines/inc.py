@@ -5,7 +5,7 @@ path are executed: instead of re-materializing the whole path from its base
 views, the path join is *seeded with the triggering update* and expanded
 left and right from the position the update matched.  Only when a query has
 several covering paths do the unaffected paths still require full
-materialization for the final cross-path join.
+materialization, for the final cross-path enumeration.
 
 INC+ (the re-differentiated ``+`` tier) is INC plus answer materialisation,
 exactly like INV+: polled queries' answer sets are cached, patched on
@@ -61,9 +61,9 @@ class INCEngine(INVEngine):
             return None
 
         # Paths untouched by the update still need their full relation for
-        # the final cross-path join; when several paths are affected their
-        # full relations are needed as well (delta-A joins full-B and vice
-        # versa).
+        # the final cross-path enumeration; when several paths are affected
+        # their full relations are needed as well (delta-A extends across
+        # full-B and vice versa).
         full_rows: List[Set[Row]] = []
         for path_index, path_plan in enumerate(plan.path_plans):
             needs_full = path_index not in deltas or len(deltas) > 1

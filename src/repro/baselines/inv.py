@@ -9,8 +9,10 @@ update it
 2. re-materializes every covering path of each surviving query by joining
    the base edge views along the path **from scratch** (the expensive
    "join and explore" the paper criticises), and
-3. joins the path relations to produce the query answers, reporting the ones
-   created by the triggering update.
+3. extends the path rows that use the update across the other paths'
+   relations to produce the new query answers — through the same
+   positional backtracking program TRIC enumerates its answers with
+   (:class:`~repro.matching.plans.QueryEvaluationPlan`).
 
 INV+ (the re-differentiated ``+`` tier) is INV plus *answer
 materialisation*: every polled query's answer set is cached in an
@@ -20,8 +22,9 @@ unioned in) and marked dirty by deletions (refreshed lazily at the next
 poll) — so ``matches_of`` stops paying the full path re-materialization on
 every poll of a stable query.  Deletion-time invalidation re-checks use the
 existence-mode ``evaluate_full(limit=1)`` on both tiers — the cross-path
-join stops at the first surviving witness, though this join-and-explore
-baseline still pays each covering path's materialisation first.
+enumeration stops at the first surviving witness, though this
+join-and-explore baseline still pays each covering path's materialisation
+first.
 """
 
 from __future__ import annotations
@@ -234,7 +237,7 @@ class INVEngine(ContinuousEngine):
 
         With answer materialisation on, polls after the first are served
         from the cached answer relation — no path re-materialization, no
-        cross-path join.  The base engine recomputes the full join on
+        cross-path enumeration.  The base engine recomputes every answer on
         every call (the paper's join-and-explore behaviour).
         """
         self._require_known(query_id)
@@ -250,7 +253,7 @@ class INVEngine(ContinuousEngine):
         A dirty cache is *not* refreshed here — deletion-time invalidation
         falls through to the ``evaluate_full(limit=1)`` backtracking
         search.  Note the probe is only witness-limited at the *cross-path
-        join*: this join-and-explore baseline still materialises each
+        enumeration*: this join-and-explore baseline still materialises each
         covering path's relation first (it maintains no per-path state to
         probe incrementally, unlike TRIC's binding relations), so the
         re-check costs O(path materialisation + first witness).

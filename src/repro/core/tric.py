@@ -64,24 +64,15 @@ class TRICEngine(ContinuousEngine):
     ----------
     materialize_answers:
         The re-differentiated ``+`` flag.  When ``True`` the engine keeps a
-        maintained, counted answer relation for every query that has been
-        polled through :meth:`matches_of`
+        maintained answer relation for every query that has been polled
+        through :meth:`matches_of`
         (:class:`~repro.matching.answers.MaterializedAnswers`): the answer
         set is patched in place from its terminal views' delta logs,
-        later polls are an O(answer-set) decode with no
-        cross-path join, and deletion invalidation of a polled query is an
+        later polls are an O(answer-set) decode with no cross-path
+        enumeration, and deletion invalidation of a polled query is an
         O(1) emptiness check.  Queries that are never polled pay nothing —
         their deletion re-checks use the same ``evaluate_full(limit=1)``
         witness probe as the base engine.
-    answer_row_cap:
-        Budget for a query's *first-poll* materialisation.  The first
-        ``matches_of`` of a query enumerates every derivation to build its
-        maintained relation; with a cap, a query whose answer set exceeds
-        ``answer_row_cap`` distinct rows aborts the rebuild (bounding the
-        first-poll latency to O(cap)) and spills to the on-demand paths —
-        ``evaluate_full`` for answers, the ``limit=1`` witness probe for
-        deletion invalidation — until a wholesale change retries it.
-        ``None`` (the default) materialises unconditionally.
     injective:
         Require injective (isomorphism) answer semantics.
     interner:
@@ -97,15 +88,11 @@ class TRICEngine(ContinuousEngine):
         self,
         *,
         materialize_answers: bool = False,
-        answer_row_cap: int | None = None,
         injective: bool = False,
         interner: VertexInterner | None = None,
     ) -> None:
         super().__init__(injective=injective)
-        if answer_row_cap is not None and answer_row_cap < 1:
-            raise ValueError("answer_row_cap must be at least 1 (or None)")
         self.materializes_answers = materialize_answers
-        self.answer_row_cap = answer_row_cap
         self._forest = TrieForest()
         self._views = EdgeViewRegistry(interner=interner)
         self._plans: Dict[str, QueryEvaluationPlan] = {}
@@ -353,17 +340,16 @@ class TRICEngine(ContinuousEngine):
 
         With answer materialisation on, the result is decoded straight from
         the query's maintained answer relation (created on the first poll,
-        patched by the delta pipeline from then on) — no cross-path join
-        runs on this call path.  The base engine enumerates the answers on
-        demand by backtracking through the terminal views' maintained
-        indexes (O(answers)); so does a materialising engine for a query
-        whose budgeted rebuild went over its ``answer_row_cap``.
+        patched by the delta pipeline from then on) — no cross-path
+        enumeration runs on this call path.  The base engine enumerates the
+        answers on demand by backtracking through the terminal views'
+        maintained indexes (O(answers)).
         """
         self._require_known(query_id)
         if self._answers is not None:
-            relation = self._materialized_answers(query_id)
-            if relation is not None:
-                return bindings_to_dicts(relation, self._views.interner)
+            return bindings_to_dicts(
+                self._materialized_answers(query_id), self._views.interner
+            )
         bindings = self._plans[query_id].evaluate_full(
             binding_relations=self._binding_relations[query_id],
             injective=self.injective,
@@ -405,14 +391,8 @@ class TRICEngine(ContinuousEngine):
         maintainer.sync(relations)
         return None if maintainer.stale else maintainer
 
-    def _materialized_answers(self, query_id: str) -> Optional[Relation]:
-        """The query's maintained answer relation, created/refreshed lazily.
-
-        Returns ``None`` when the query's budgeted rebuild exceeded
-        ``answer_row_cap`` — the caller then spills to the on-demand
-        evaluation paths.  An over-budget maintainer is not retried until
-        a wholesale view change marks it stale again.
-        """
+    def _materialized_answers(self, query_id: str) -> Relation:
+        """The query's maintained answer relation, created/refreshed lazily."""
         assert self._answers is not None
         maintainer = self._answers.get(query_id)
         if maintainer is None:
@@ -423,10 +403,7 @@ class TRICEngine(ContinuousEngine):
         relations = self._binding_relations[query_id]
         maintainer.sync(relations)
         if maintainer.stale:
-            if maintainer.over_budget:
-                return None
-            if not maintainer.rebuild(relations, row_cap=self.answer_row_cap):
-                return None
+            maintainer.rebuild(relations)
         return maintainer.relation
 
     def answer_delta_source(self, query_id: str) -> Optional[MaintainedAnswerSource]:
@@ -436,14 +413,11 @@ class TRICEngine(ContinuousEngine):
         query's (lazily created) maintained relation is live — the pub/sub
         delta tracker then consumes answer visibility changes off the
         relation's signed delta log instead of re-polling ``matches_of``.
-        Over-budget queries (see ``answer_row_cap``) return ``None``.
         """
         self._require_known(query_id)
         if self._answers is None:
             return None
         relation = self._materialized_answers(query_id)
-        if relation is None:
-            return None
         relation.track_deltas()
         return MaintainedAnswerSource(relation, self._views.interner)
 
@@ -496,23 +470,14 @@ class TRICPlusEngine(TRICEngine):
     "Caching"); those structures are maintained for every variant in this
     codebase, so the repository re-differentiates the ``+`` tier as the
     *answer-materialising* variant: ``matches_of`` of a polled query is
-    served from a maintained counted answer relation instead of a
-    cross-path join, and deletion invalidation of a polled query is an
-    O(1) emptiness check.
+    served from a maintained answer relation instead of a cross-path
+    enumeration, and deletion invalidation of a polled query is an O(1)
+    emptiness check.
     """
 
     name = "TRIC+"
 
     def __init__(
-        self,
-        *,
-        answer_row_cap: int | None = None,
-        injective: bool = False,
-        interner: VertexInterner | None = None,
+        self, *, injective: bool = False, interner: VertexInterner | None = None
     ) -> None:
-        super().__init__(
-            materialize_answers=True,
-            answer_row_cap=answer_row_cap,
-            injective=injective,
-            interner=interner,
-        )
+        super().__init__(materialize_answers=True, injective=injective, interner=interner)

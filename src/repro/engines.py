@@ -46,7 +46,7 @@ ENGINE_FACTORIES: Dict[str, Callable[..., ContinuousEngine]] = {
 #: on demand; ``+`` engines additionally materialise polled answer sets).
 ENGINE_STRATEGIES: Dict[str, str] = {
     "TRIC": "trie-clustered covering paths, delta joins, witness-probe notifications",
-    "TRIC+": "TRIC + maintained counted answer relations (O(answer) matches_of, O(1) invalidation)",
+    "TRIC+": "TRIC + maintained answer relations (O(answer) matches_of, O(1) invalidation)",
     "INV": "inverted edge indexes, full path re-materialization per update",
     "INV+": "INV + cached answer sets (patched on additions, recomputed on deletions)",
     "INC": "INV indexes with update-seeded incremental path joins",

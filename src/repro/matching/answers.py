@@ -3,25 +3,26 @@
 The base engines (TRIC, INV, INC) answer *notifications* — "did this query
 gain or lose answers?" — through existence probes that stop at the first
 witness, and compute the full answer set of a query only on demand, by
-joining its covering-path relations.  The ``+`` variants (TRIC+, INV+, INC+)
-additionally *materialise* each polled query's answer relation and keep it
-maintained, so :meth:`~repro.core.engine.ContinuousEngine.matches_of`
-becomes an O(answer-set) decode instead of a cross-path join, and deletion
+enumerating it through its covering-path relations.  The ``+`` variants
+(TRIC+, INV+, INC+) additionally *materialise* each polled query's answer
+relation and keep it maintained, so
+:meth:`~repro.core.engine.ContinuousEngine.matches_of` becomes an
+O(answer-set) decode instead of a cross-path enumeration, and deletion
 invalidation of a polled query becomes an O(1) emptiness check.
 
 Two maintenance strategies live here, matching the two engine families:
 
 :class:`MaterializedAnswers`
-    Exact *counting-based* maintenance for engines whose per-path relations
-    are maintained (TRIC+: the shared trie views).  The answer relation is
-    a :class:`~repro.matching.relation.CountedRelation` whose support
-    counts equal the number of derivations — combinations of one row per
-    covering path — of each answer.  The maintainer is a *reader* of the
-    path relations' signed delta logs: at every synchronisation it folds
-    what each path logged since the last one into a net ``(added,
-    removed)`` pair, joins those rows against the *other* paths' relations
-    (through their maintained indexes) and patches the answer relation in
-    place; an answer disappears exactly when its last derivation dies.
+    Exact maintenance for engines whose per-path relations are maintained
+    (TRIC+: the shared trie views).  Every variable of a covering path is
+    an answer column, so an answer determines its *derivation* — the one
+    row per covering path that produces it — and the answer relation is a
+    plain set.  The maintainer is a *reader* of the path relations' signed
+    delta logs: at every synchronisation it folds what each path logged
+    since the last one into a net ``(added, removed)`` pair, extends those
+    rows across the *other* paths' relations (through their maintained
+    indexes) and patches the answer relation in place; an answer
+    disappears exactly when a row of its derivation does.
 
 :class:`AnswerSetCache`
     Set-semantics caching for recompute-style engines without maintained
@@ -49,7 +50,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .plans import QueryEvaluationPlan
-from .relation import CountedRelation, Delta, Relation, Row
+from .relation import Delta, Relation, Row
 
 __all__ = ["MaterializedAnswers", "AnswerSetCache"]
 
@@ -108,20 +109,23 @@ class _OldState:
 
 
 class MaterializedAnswers:
-    """Counted, maintained answer relation of one query (TRIC+ strategy).
+    """Maintained answer relation of one query (TRIC+ strategy).
 
     The relation's rows are tuples over the plan's
-    :attr:`~repro.matching.plans.QueryEvaluationPlan.variable_names`; the
-    support count of a row is the number of *derivations* currently
-    producing it — combinations of one row per covering path relation
-    that join to the answer (and pass the injectivity filter when the
-    engine requires isomorphism semantics).
+    :attr:`~repro.matching.plans.QueryEvaluationPlan.variable_names`: the
+    answers of every current *derivation* — combination of one row per
+    covering path relation that agree on their shared variables (and pass
+    the injectivity filter when the engine requires isomorphism
+    semantics).  An answer has exactly one derivation
+    (:meth:`~repro.matching.plans.QueryEvaluationPlan.iter_derivations`),
+    so every ``add`` and ``remove`` the maintainer issues changes the
+    relation's visibility.
 
     Lifecycle
     ---------
     A maintainer starts *stale*.  :meth:`rebuild` computes the relation
     from the query's current path relations (one enumeration pass, one
-    ``add`` per derivation), asks each of them to record its delta log and
+    row per answer), asks each of them to record its delta log and
     remembers ``(epoch, log position)`` per path.  From then on
     :meth:`sync` brings the answers up to date with whatever the paths
     logged in between.  Because the path relations are shared and live,
@@ -133,24 +137,15 @@ class MaterializedAnswers:
     marks the maintainer stale until the next :meth:`rebuild`.
     """
 
-    __slots__ = (
-        "plan",
-        "injective",
-        "relation",
-        "_stale",
-        "_over_budget",
-        "_epochs",
-        "_positions",
-    )
+    __slots__ = ("plan", "injective", "relation", "_stale", "_epochs", "_positions")
 
     def __init__(self, plan: QueryEvaluationPlan, *, injective: bool = False) -> None:
         self.plan = plan
         self.injective = injective
-        self.relation: CountedRelation = CountedRelation(plan.variable_names)
+        self.relation = Relation(plan.variable_names)
         self._stale = True
-        self._over_budget = False
-        # Per covering path: epoch of its relation at the last rebuild
-        # attempt, and the log position the answers are current with.
+        # Per covering path: epoch of its relation at the last rebuild, and
+        # the log position the answers are current with.
         self._epochs: Optional[List[int]] = None
         self._positions: List[int] = []
 
@@ -159,55 +154,27 @@ class MaterializedAnswers:
         """``True`` while the relation needs a :meth:`rebuild`."""
         return self._stale
 
-    @property
-    def over_budget(self) -> bool:
-        """``True`` when the last budgeted :meth:`rebuild` hit its row cap.
-
-        An over-budget maintainer stays stale and the owning engine spills
-        the query to the on-demand evaluation paths (``evaluate_full`` for
-        answers, the ``limit=1`` witness probe for invalidation) instead of
-        re-enumerating a huge answer set on every poll.  The flag clears on
-        :meth:`mark_stale` — a wholesale change is the signal to retry.
-        """
-        return self._over_budget
-
     def mark_stale(self) -> None:
         """Invalidate the relation (a binding relation changed wholesale)."""
         self._stale = True
-        self._over_budget = False
 
-    def rebuild(self, binding_relations: Sequence[Relation], *, row_cap: int | None = None) -> bool:
+    def rebuild(self, binding_relations: Sequence[Relation]) -> None:
         """Recompute the relation from the current ``binding_relations``.
 
         Enumerates every derivation through the plan's backtracking
         program (probing the binding relations' maintained indexes), so
-        the cost is proportional to the number of derivations, not to the
+        the cost is proportional to the number of answers, not to the
         cross product of the path relations.
-
-        With ``row_cap`` the enumeration is *budgeted*: once more than
-        ``row_cap`` distinct answers exist the rebuild aborts, the
-        maintainer stays stale and flags itself :attr:`over_budget`, and
-        ``False`` is returned — the owning engine then serves the query
-        through the on-demand ``evaluate_full`` / witness paths, bounding
-        first-poll latency on huge answer sets.  Returns ``True`` when the
-        relation was (re)built.
         """
         self._epochs = [relation.epoch for relation in binding_relations]
-        relation = CountedRelation(self.plan.variable_names)
-        for answer in self.plan.iter_derivations(
-            binding_relations, injective=self.injective
-        ):
-            relation.add(answer)
-            if row_cap is not None and len(relation) > row_cap:
-                self._over_budget = True
-                return False
+        self.relation = Relation(
+            self.plan.variable_names,
+            self.plan.iter_derivations(binding_relations, injective=self.injective),
+        )
         for path_relation in binding_relations:
             path_relation.track_deltas()
         self._positions = [path_relation.log_length for path_relation in binding_relations]
-        self.relation = relation
         self._stale = False
-        self._over_budget = False
-        return True
 
     def sync(self, binding_relations: Sequence[Relation]) -> None:
         """Patch the answers with what the path relations logged since the
@@ -216,11 +183,10 @@ class MaterializedAnswers:
         With nothing pending this is one epoch and one log-length
         comparison per path.  Otherwise each path's log slice is folded to
         a net delta and fed in path order — removals before additions, so
-        every intermediate state is the join of a consistent set of path
-        states and no support count ever dips below zero.  An epoch change
-        on any path marks the maintainer stale instead (which also lifts an
-        :attr:`over_budget` verdict: a wholesale change is the signal to
-        retry).
+        every intermediate state is the answer set of a consistent set of
+        path states and each answer is removed while present and added
+        while absent.  An epoch change on any path marks the maintainer
+        stale instead.
         """
         if self._epochs is None:
             return

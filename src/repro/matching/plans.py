@@ -18,8 +18,10 @@ copied per query.
 
 :class:`QueryEvaluationPlan` encapsulates that per-query logic so that TRIC,
 INV and INC only differ in *how* they produce the per-path positional
-relations (shared trie views vs. per-query joins), not in how the final
-answer is assembled.
+relations (shared trie views vs. per-query path joins), not in how the final
+answer is assembled: every engine enumerates answers through the same
+backtracking program, and a path relation handed over as plain rows is
+wrapped in a probeable :class:`~repro.matching.relation.Relation` first.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from ..graph.interning import VertexInterner
 from ..query.paths import CoveringPath, covering_paths
 from ..query.pattern import QueryGraphPattern
 from ..query.terms import EdgeKey, Variable
-from .relation import Relation, Row, natural_join, rows_with_equal_positions
+from .relation import Relation, Row, rows_with_equal_positions
 
 __all__ = ["PathPlan", "QueryEvaluationPlan", "bindings_to_dicts"]
 
@@ -82,28 +84,6 @@ class PathPlan:
     def positions_of_key(self, key: EdgeKey) -> List[int]:
         """Edge positions (0-based) along the path whose key equals ``key``."""
         return [i for i, k in enumerate(self.key_sequence) if k == key]
-
-    # ------------------------------------------------------------------
-    # Positional rows -> variable bindings
-    # ------------------------------------------------------------------
-    def binding_of_row(self, row: Row) -> Row | None:
-        """Variable binding of one positional row, or ``None`` when the row
-        violates the path's repeated-variable equality constraints."""
-        for i, j in self.equality_positions:
-            if row[i] != row[j]:
-                return None
-        return tuple([row[p] for p in self.variable_positions])
-
-    def bindings_from_rows(self, rows: Iterable[Row]) -> Relation:
-        """Convert positional path rows into a relation over variable names."""
-        result = Relation(self.variable_names)
-        for row in rows:
-            binding = self.binding_of_row(row)
-            if binding is not None:
-                result.rows.add(binding)
-        if result.rows:
-            result.version += 1
-        return result
 
     def positional_relation(self, rows: Iterable[Row]) -> Relation:
         """``rows`` that satisfy the path's equality constraints, as a
@@ -195,20 +175,22 @@ class QueryEvaluationPlan:
     ) -> Relation:
         """Assemble query-level bindings from every covering path.
 
+        Answers are enumerated by backtracking through the paths'
+        positional relations (:meth:`iter_derivations`): one derivation per
+        answer, every probe O(bucket), so the cost is O(answers) and never
+        the cross product of the path relations.
+
         Parameters
         ----------
         path_rows:
             Positional rows of each covering path (in plan order) — what
             the join-and-explore engines (INV, INC) materialise per call.
-            Without ``limit`` they are converted to binding relations and
-            hash-joined on shared variable names.
+            Rows violating their path's equality constraints are dropped.
         binding_relations:
             Maintained positional relations of each covering path (in plan
             order), every row satisfying its path's equality constraints —
-            TRIC's terminal views.  They are never copied or joined
-            wholesale: answers are enumerated by backtracking through
-            their maintained indexes (one derivation per answer, so the
-            cost is O(answers)).  Takes precedence over ``path_rows``.
+            TRIC's terminal views, probed in place, never copied.  Takes
+            precedence over ``path_rows``.
         injective:
             Keep only bindings mapping distinct variables (and literals)
             to distinct vertices (isomorphism semantics).
@@ -216,8 +198,7 @@ class QueryEvaluationPlan:
             *Existence mode.*  Stop as soon as ``limit`` distinct bindings
             exist.  ``limit=1`` is the deletion-invalidation probe — "does
             any answer survive?" — and costs O(first witness) instead of
-            O(answer set).  With ``path_rows`` the backtracking search
-            replaces the cross-path join.
+            O(answer set).
 
         Returns
         -------
@@ -228,16 +209,7 @@ class QueryEvaluationPlan:
         if binding_relations is None:
             if path_rows is None:
                 raise ValueError("evaluate_full needs path_rows or binding_relations")
-            if limit is None:
-                relations = [
-                    plan.bindings_from_rows(rows)
-                    for plan, rows in zip(self.path_plans, path_rows)
-                ]
-                return self._join_bindings(relations, injective)
-            binding_relations = [
-                plan.positional_relation(rows)
-                for plan, rows in zip(self.path_plans, path_rows)
-            ]
+            binding_relations = self._positional_relations(path_rows)
         result = Relation(self.variable_names)
         if limit is not None and limit < 1:
             return result
@@ -257,27 +229,34 @@ class QueryEvaluationPlan:
     ) -> Relation:
         """Bindings derivable only with the new (delta) rows of affected paths.
 
-        For each affected path its delta rows replace the full relation while
-        the other paths contribute their full relations; the union over
-        affected paths is exactly the set of *new* query answers produced by
-        the triggering update.
+        Each delta row of an affected path is extended across the *other*
+        paths' full relations (:meth:`iter_delta_derivations`); the union
+        over affected paths is exactly the set of *new* query answers
+        produced by the triggering update.  An affected path's own full
+        rows are never read, so a caller with a single affected path may
+        pass an empty placeholder for them.
         """
+        relations = self._positional_relations(full_path_rows)
         result = Relation(self.variable_names)
+        answers = result.rows
         for affected_index, delta_rows in delta_rows_by_path.items():
-            delta_bindings = self.path_plans[affected_index].bindings_from_rows(delta_rows)
-            if not delta_bindings:
-                continue
-            relations = [
-                delta_bindings
-                if index == affected_index
-                else plan.bindings_from_rows(full_path_rows[index])
-                for index, plan in enumerate(self.path_plans)
-            ]
-            joined = self._join_bindings(relations, injective)
-            result.rows.update(joined.rows)
-        if result.rows:
-            result.version += 1
+            equality = self.path_plans[affected_index].equality_positions
+            if equality:
+                delta_rows = rows_with_equal_positions(delta_rows, equality)
+            for row in delta_rows:
+                answers.update(
+                    self.iter_delta_derivations(
+                        affected_index, row, relations, injective=injective
+                    )
+                )
         return result
+
+    def _positional_relations(self, path_rows: Sequence[Iterable[Row]]) -> List[Relation]:
+        """One probeable positional relation per covering path."""
+        return [
+            plan.positional_relation(rows)
+            for plan, rows in zip(self.path_plans, path_rows)
+        ]
 
     # ------------------------------------------------------------------
     # Existence check (the notification hot path)
@@ -447,10 +426,10 @@ class QueryEvaluationPlan:
         Extends ``row`` — a positional row of covering path ``path_index``
         (satisfying its equality constraints) that just appeared in or
         disappeared from that path's relation — across the *other* paths'
-        relations.  Each yield is one derivation of an answer whose support
-        changes by exactly one unit; ``path_index``'s own relation is never
-        probed, so the caller is free to feed the delta before or after
-        patching it.
+        relations.  An answer determines its derivation, so each yield is an
+        answer that appears (or disappears) with ``row``; ``path_index``'s
+        own relation is never probed, so the caller is free to feed the
+        delta before or after patching it.
         """
         assignment: List[object] = [None] * len(self.variable_names)
         for slot, position in self._path_columns[path_index]:
@@ -509,42 +488,6 @@ class QueryEvaluationPlan:
         """``True`` when ``values`` plus the plan's literals are pairwise distinct."""
         combined = tuple(values) + self._literal_values
         return len(set(combined)) == len(combined)
-
-    def _join_bindings(self, relations: List[Relation], injective: bool) -> Relation:
-        if not relations:
-            return Relation(self.variable_names)
-        if any(len(relation) == 0 for relation in relations):
-            return Relation(self.variable_names)
-        # Join smaller relations first to keep intermediate results small;
-        # ties broken by plan order for determinism.
-        order = sorted(range(len(relations)), key=lambda i: (len(relations[i]), i))
-        current = relations[order[0]]
-        for index in order[1:]:
-            current = natural_join(current, relations[index])
-            if not current:
-                break
-        # Normalise the column order to the plan's variable order.
-        if current.schema != self.variable_names and current.rows:
-            positions = [current.column_index(name) for name in self.variable_names]
-            current = Relation(
-                self.variable_names,
-                {tuple(row[p] for p in positions) for row in current.rows},
-            )
-        elif current.schema != self.variable_names:
-            current = Relation(self.variable_names)
-        if injective and current.rows:
-            current = self._injective_filter(current)
-        return current
-
-    def _injective_filter(self, bindings: Relation) -> Relation:
-        """Keep only bindings where variables (and literals) map to distinct vertices."""
-        literals = self._literal_values
-        kept = set()
-        for row in bindings.rows:
-            values = row + literals
-            if len(set(values)) == len(values):
-                kept.add(row)
-        return Relation(bindings.schema, kept)
 
 
 def bindings_to_dicts(

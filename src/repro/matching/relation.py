@@ -5,14 +5,15 @@ is the representation used for
 
 * base edge views (schema ``("s", "t")``),
 * per-path prefix views inside the TRIC tries (schema ``("p0", ..., "pk")``),
-* query-level binding tables (schema of variable names).
+* query-level answer relations (schema of variable names).
 
-Joins are classic hash joins with a build and a probe phase, exactly as
-described in Section 4.2 of the paper.  The build-side hash tables are the
-relations' own *maintained indexes* — persistent buckets patched in place by
-every mutation (:meth:`Relation.ensure_index` / :meth:`Relation.probe`) —
-so joining repeatedly against a stable relation reuses an incrementally
-maintained structure instead of rebuilding one per call.
+The paper's hash joins (Section 4.2) probe the relations' own *maintained
+indexes* — persistent buckets patched in place by every mutation
+(:meth:`Relation.ensure_index` / :meth:`Relation.probe`) — so probing a
+stable relation again reuses an incrementally maintained structure instead
+of building a hash table per call.  Path rows are extended through them
+(:func:`extend_path_rows`), and answers are assembled by backtracking
+through them (:class:`~repro.matching.plans.QueryEvaluationPlan`).
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 __all__ = [
     "Relation",
-    "CountedRelation",
-    "natural_join",
     "extend_path_rows",
     "EMPTY_ROWS",
 ]
@@ -49,12 +48,12 @@ class Relation:
     """A set of equal-length tuples with named columns.
 
     Relations are mutable (rows are added and removed incrementally as
-    updates arrive) and carry a ``version`` counter.  A relation with a
-    *reader* additionally records a signed *delta log* of visibility
-    changes: the log is opt-in (:meth:`track_deltas`), because most
-    relations — base edge views, interior trie nodes, terminals nobody
-    subscribed to — are only ever probed, and an unread log costs a tuple
-    per mutation in RAM and in every snapshot.  A reader remembers
+    updates arrive).  A relation with a *reader* additionally records a
+    signed *delta log* of visibility changes: the log is opt-in
+    (:meth:`track_deltas`), because most relations — base edge views,
+    interior trie nodes, terminals nobody subscribed to — are only ever
+    probed, and an unread log costs a tuple per mutation in RAM and in
+    every snapshot.  A reader remembers
     ``(uid, epoch, log position)`` and consumes :meth:`deltas_since`;
     additions and deletions are symmetric deltas.  The wholesale operations
     (:meth:`replace_rows`, :meth:`clear`, log compaction) bump ``epoch`` so
@@ -68,14 +67,13 @@ class Relation:
     the adjacency structures behind the whole matching layer.
     """
 
-    __slots__ = ("schema", "arity", "rows", "version", "uid", "epoch", "_delta_log", "_indexes")
+    __slots__ = ("schema", "arity", "rows", "uid", "epoch", "_delta_log", "_indexes")
 
     def __init__(self, schema: Sequence[str], rows: Iterable[Row] = ()) -> None:
         self.schema: Tuple[str, ...] = tuple(schema)
         #: Number of columns (cached: checked on every hot-path ``add``).
         self.arity: int = len(self.schema)
         self.rows: Set[Row] = set(rows)
-        self.version = 0
         self.uid = next(_uid_counter)
         #: Bumped whenever the delta log is reset wholesale; positions into
         #: the log are only comparable within the same epoch.
@@ -100,10 +98,6 @@ class Relation:
 
     def __contains__(self, row: Row) -> bool:
         return row in self.rows
-
-    def column_index(self, column: str) -> int:
-        """Index of ``column`` in the schema."""
-        return self.schema.index(column)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -130,7 +124,6 @@ class Relation:
                     index[key] = {row}
                 else:
                     bucket.add(row)
-        self.version += 1
         return True
 
     def add_all(self, rows: Iterable[Row]) -> List[Row]:
@@ -156,7 +149,6 @@ class Relation:
             self._delta_log.extend([(row, 1) for row in added])
         for positions, index in self._indexes.items():
             _bucket(index, positions, added)
-        self.version += len(added)
         return added
 
     def remove(self, row: Row) -> bool:
@@ -182,7 +174,6 @@ class Relation:
                     bucket.discard(row)
                     if not bucket:
                         del index[key]
-        self.version += 1
         self._maybe_compact_log()
         return True
 
@@ -224,19 +215,13 @@ class Relation:
                     bucket.discard(row)
                     if not bucket:
                         del index[key]
-        self.version += len(removed)
         self._maybe_compact_log()
         return removed
-
-    def discard(self, row: Row) -> bool:
-        """Alias of :meth:`remove` (kept for backwards compatibility)."""
-        return self.remove(row)
 
     def clear(self) -> None:
         """Remove every row (wholesale: resets the delta log, bumps the epoch)."""
         if self.rows:
             self.rows.clear()
-            self.version += 1
             self._reset_log()
             for positions in self._indexes:
                 self._indexes[positions] = {}
@@ -244,7 +229,6 @@ class Relation:
     def replace_rows(self, rows: Iterable[Row]) -> None:
         """Replace the contents wholesale (resets the delta log, bumps the epoch)."""
         self.rows = set(rows)
-        self.version += 1
         self._reset_log()
         for positions in self._indexes:
             self._indexes[positions] = self._bucket_rows(positions)
@@ -342,10 +326,6 @@ class Relation:
         """
         return self.index_map(key_positions).get(key, EMPTY_ROWS)
 
-    def has_maintained_index(self, key_positions: Tuple[int, ...]) -> bool:
-        """``True`` when a maintained index over ``key_positions`` exists."""
-        return tuple(key_positions) in self._indexes
-
     @property
     def maintained_index_positions(self) -> List[Tuple[int, ...]]:
         """Key positions of the maintained indexes (introspection/tests)."""
@@ -366,79 +346,6 @@ class Relation:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Relation(schema={self.schema}, rows={len(self.rows)})"
-
-
-class CountedRelation(Relation):
-    """A relation whose rows carry *support counts* (counting-based maintenance).
-
-    Used for derived views where the same row can be produced by several
-    distinct derivations — the maintained answer relations of
-    :class:`~repro.matching.answers.MaterializedAnswers`.  A row becomes
-    visible when its support goes ``0 -> 1`` and disappears only when the
-    *last* supporting derivation is retracted (``1 -> 0``), which is the
-    classic counting algorithm for incremental view maintenance.
-    Visibility changes are logged exactly like a plain :class:`Relation`'s.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, schema: Sequence[str], rows: Iterable[Row] = ()) -> None:
-        super().__init__(schema)
-        self._counts: Dict[Row, int] = {}
-        for row in rows:
-            self.add(row)
-
-    def support(self, row: Row) -> int:
-        """Number of live derivations of ``row``."""
-        return self._counts.get(row, 0)
-
-    def add(self, row: Row) -> bool:
-        """Add one derivation of ``row``; ``True`` when the row became visible."""
-        count = self._counts.get(row, 0)
-        self._counts[row] = count + 1
-        if count == 0:
-            return super().add(row)
-        return False
-
-    def remove(self, row: Row) -> bool:
-        """Retract one derivation of ``row``; ``True`` when the row disappeared."""
-        count = self._counts.get(row, 0)
-        if count == 0:
-            return False
-        if count == 1:
-            del self._counts[row]
-            return super().remove(row)
-        self._counts[row] = count - 1
-        return False
-
-    def add_all(self, rows: Iterable[Row]) -> List[Row]:
-        """Add one derivation per row; return the rows that became visible."""
-        return [row for row in rows if self.add(row)]
-
-    def remove_all(self, rows: Iterable[Row]) -> List[Row]:
-        """Retract one derivation per row; return the rows that disappeared."""
-        return [row for row in rows if self.remove(row)]
-
-    def discard(self, row: Row) -> bool:
-        """Drop ``row`` entirely, regardless of its remaining support."""
-        self._counts.pop(row, None)
-        if row in self.rows:
-            return Relation.remove(self, row)
-        return False
-
-    def clear(self) -> None:
-        self._counts.clear()
-        super().clear()
-
-    def replace_rows(self, rows: Iterable[Row]) -> None:
-        counts: Dict[Row, int] = {}
-        for row in rows:
-            counts[row] = counts.get(row, 0) + 1
-        self._counts = counts
-        super().replace_rows(counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CountedRelation(schema={self.schema}, rows={len(self.rows)})"
 
 
 def _index_keys(rows: Sequence[Row], positions: Tuple[int, ...]) -> List[Tuple]:
@@ -509,74 +416,3 @@ def extend_path_rows(
         raise ValueError(f"unknown direction: {direction!r}")
     return extended
 
-
-def natural_join(left: Relation, right: Relation) -> Relation:
-    """Natural join of two relations on their shared column names.
-
-    The build side's hash table is the relation's own *maintained index*
-    over the join columns, so joining repeatedly against a stable relation
-    (e.g. a maintained binding table) reuses an incrementally patched
-    structure instead of rebuilding one.  A side that already carries a
-    maintained index over the join columns is preferred as the build side
-    even when larger (its "build phase" is free); otherwise the smaller
-    side builds, as in the paper's hash-join description.  With no shared
-    columns the result is the Cartesian product.
-    """
-    shared = [c for c in left.schema if c in right.schema]
-    right_only = [c for c in right.schema if c not in shared]
-    out_schema = tuple(left.schema) + tuple(right_only)
-
-    if not left.rows or not right.rows:
-        return Relation(out_schema)
-
-    if not shared:
-        # Cartesian product: with no shared columns ``right_only`` is the
-        # whole right schema in order, so rows concatenate directly.
-        return Relation(
-            out_schema, {lrow + rrow for lrow in left.rows for rrow in right.rows}
-        )
-
-    left_key_pos = [left.column_index(c) for c in shared]
-    right_key_pos = [right.column_index(c) for c in shared]
-    right_extra_pos = [right.column_index(c) for c in right_only]
-
-    # Build-side choice: a side that already carries a maintained index over
-    # the join columns is free to "build" (the index persists and is patched
-    # incrementally), so prefer it even when it is the larger side — this is
-    # what turns a delta-against-full join into an O(delta) probe.  With no
-    # maintained index on either side, build on the smaller one as usual.
-    left_positions, right_positions = tuple(left_key_pos), tuple(right_key_pos)
-    left_indexed = left.has_maintained_index(left_positions)
-    right_indexed = right.has_maintained_index(right_positions)
-    if left_indexed != right_indexed:
-        build_is_right = right_indexed
-    else:
-        build_is_right = len(right) <= len(left)
-    if build_is_right:
-        build_rel, build_positions = right, right_positions
-        probe_rel, probe_pos = left, left_key_pos
-    else:
-        build_rel, build_positions = left, left_positions
-        probe_rel, probe_pos = right, right_key_pos
-
-    lookup = build_rel.index_map(build_positions).get
-
-    rows: Set[Row] = set()
-    if build_is_right:
-        for probe_row in probe_rel.rows:
-            key = tuple(probe_row[i] for i in probe_pos)
-            bucket = lookup(key)
-            if not bucket:
-                continue
-            for build_row in bucket:
-                rows.add(probe_row + tuple(build_row[i] for i in right_extra_pos))
-    else:
-        for probe_row in probe_rel.rows:
-            key = tuple(probe_row[i] for i in probe_pos)
-            bucket = lookup(key)
-            if not bucket:
-                continue
-            extra = tuple(probe_row[i] for i in right_extra_pos)
-            for build_row in bucket:
-                rows.add(build_row + extra)
-    return Relation(out_schema, rows)

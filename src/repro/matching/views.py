@@ -138,7 +138,7 @@ class EdgeViewRegistry:
         affected: List[EdgeKey] = []
         row = self.interner.intern_pair(edge.source, edge.target)
         for key in keys:
-            if self._views[key].discard(row):
+            if self._views[key].remove(row):
                 affected.append(key)
         return affected, row
 

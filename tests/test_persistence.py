@@ -163,7 +163,7 @@ class TestSnapshotEnvelope:
         the group's thread pool; an older payload would unpickle into
         classes or attributes the code no longer has, so it is refused at
         the envelope, not deserialised."""
-        assert SNAPSHOT_VERSION == 3
+        assert SNAPSHOT_VERSION == 4
         blob = encode_snapshot("payload")
         stale = blob[:9] + old.to_bytes(2, "big") + blob[11:]  # valid CRC, old version
         assert len(stale) == len(blob)  # header size unchanged

@@ -15,7 +15,6 @@ from repro.baselines.inc import INCPlusEngine
 from repro.baselines.inv import INVEngine
 from repro.graph import Edge, Graph
 from repro.matching.evaluator import find_embeddings
-from repro.matching.relation import Relation, natural_join
 from repro.query import QueryGraphPattern, covering_paths
 
 # ----------------------------------------------------------------------
@@ -81,39 +80,6 @@ def mixed_update_streams(draw):
             live.append(update.edge)
             updates.append(update)
     return updates
-
-
-# ----------------------------------------------------------------------
-# Relation algebra properties
-# ----------------------------------------------------------------------
-rows_ab = st.sets(st.tuples(st.sampled_from("12"), st.sampled_from("xy")), max_size=8)
-rows_bc = st.sets(st.tuples(st.sampled_from("xy"), st.sampled_from("pq")), max_size=8)
-rows_cd = st.sets(st.tuples(st.sampled_from("pq"), st.sampled_from("mn")), max_size=8)
-
-
-class TestRelationAlgebraProperties:
-    @given(rows_ab, rows_bc, rows_cd)
-    @settings(max_examples=50, deadline=None)
-    def test_natural_join_is_associative_on_chains(self, ab, bc, cd):
-        r_ab = Relation(("a", "b"), ab)
-        r_bc = Relation(("b", "c"), bc)
-        r_cd = Relation(("c", "d"), cd)
-        left_first = natural_join(natural_join(r_ab, r_bc), r_cd)
-        right_first = natural_join(r_ab, natural_join(r_bc, r_cd))
-        assert left_first.rows == right_first.rows
-
-    @given(rows_ab)
-    @settings(max_examples=30, deadline=None)
-    def test_join_with_itself_is_identity(self, ab):
-        relation = Relation(("a", "b"), ab)
-        assert natural_join(relation, relation).rows == relation.rows
-
-    @given(rows_ab, rows_bc)
-    @settings(max_examples=30, deadline=None)
-    def test_join_never_invents_values(self, ab, bc):
-        joined = natural_join(Relation(("a", "b"), ab), Relation(("b", "c"), bc))
-        seen = {value for row in ab | bc for value in row}
-        assert all(value in seen for row in joined.rows for value in row)
 
 
 # ----------------------------------------------------------------------

@@ -403,39 +403,34 @@ class TestShardedEngineGroup:
 
 
 # ----------------------------------------------------------------------
-# Budgeted first-poll materialisation
+# First-poll materialisation
 # ----------------------------------------------------------------------
-class TestBudgetedMaterialisation:
-    def _many_answers_engine(self, cap):
-        engine = TRICPlusEngine(answer_row_cap=cap)
+class TestFirstPollMaterialisation:
+    def _many_answers_engine(self, engine):
         engine.register(pair_query())
         for i in range(5):
             engine.on_update(add("knows", f"s{i}", f"t{i}"))
         return engine
 
-    def test_over_budget_query_spills_to_on_demand_paths(self):
-        capped = self._many_answers_engine(cap=2)
-        reference = TRICPlusEngine()
-        reference.register(pair_query())
-        for i in range(5):
-            reference.on_update(add("knows", f"s{i}", f"t{i}"))
-        # Answers stay byte-identical; the capped engine just never keeps a
-        # maintained relation (answer_delta_source says so).
-        assert capped.matches_of("pair") == reference.matches_of("pair")
-        assert capped.answer_delta_source("pair") is None
-        assert reference.answer_delta_source("pair") is not None
-        assert capped.has_matches("pair")
-        assert capped.statistics().get("materialized_answer_rows", 0) == 0
+    def test_many_answers_are_served_from_the_maintained_relation(self):
+        engine = self._many_answers_engine(TRICPlusEngine())
+        reference = self._many_answers_engine(TRICEngine())
+        assert engine.matches_of("pair") == reference.matches_of("pair")
+        assert engine.answer_delta_source("pair") is not None
+        assert engine.has_matches("pair")
+        assert engine.statistics()["materialized_answer_rows"] == 5
 
-    def test_small_answer_sets_still_materialise_under_a_cap(self):
-        engine = TRICPlusEngine(answer_row_cap=100)
+    def test_first_poll_creates_the_maintained_relation(self):
+        engine = TRICPlusEngine()
         engine.register(pair_query())
         engine.on_update(add("knows", "ann", "bob"))
+        assert engine.statistics()["materialized_queries"] == 0
         assert engine.matches_of("pair") == [{"x": "ann", "y": "bob"}]
-        assert engine.answer_delta_source("pair") is not None
+        assert engine.statistics()["materialized_queries"] == 1
+        assert engine.statistics()["materialized_answer_rows"] == 1
 
-    def test_broker_stays_exact_over_a_capped_engine(self):
-        engine = self._many_answers_engine(cap=2)
+    def test_broker_stays_exact_over_a_materialising_engine(self):
+        engine = self._many_answers_engine(TRICPlusEngine())
         broker = SubscriptionBroker(engine)
         subscription = broker.subscribe("app", ["pair"])
         broker.on_update(add("knows", "s9", "t9"))
@@ -443,9 +438,9 @@ class TestBudgetedMaterialisation:
         deltas = subscription.drain()
         assert replay_deltas(deltas)["pair"] == answer_set(engine, "pair")
 
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            TRICPlusEngine(answer_row_cap=0)
+    def test_answer_row_cap_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            TRICPlusEngine(answer_row_cap=2)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,10 @@
-"""Tests for relations, natural joins, and path-row extension."""
+"""Tests for relations and path-row extension."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.matching.relation import CountedRelation, Relation, extend_path_rows, natural_join
+from repro.matching.relation import Relation, extend_path_rows
 
 
 class TestRelationBasics:
@@ -37,19 +35,10 @@ class TestRelationBasics:
         added = relation.add_all([("x",), ("y",), ("z",), ("y",)])
         assert added == [("y",), ("z",)]
 
-    def test_discard(self):
+    def test_remove(self):
         relation = Relation(("a",), [("x",)])
-        assert relation.discard(("x",))
-        assert not relation.discard(("x",))
-
-    def test_versions_track_mutations(self):
-        relation = Relation(("a",))
-        v0 = relation.version
-        relation.add(("x",))
-        assert relation.version > v0
-        v1 = relation.version
-        relation.discard(("x",))
-        assert relation.version > v1
+        assert relation.remove(("x",))
+        assert not relation.remove(("x",))
 
     def test_delta_log_is_opt_in(self):
         relation = Relation(("a",), [("w",)])
@@ -90,7 +79,6 @@ class TestRelationBasics:
         gone = rows[::2] + [(9, 9, 9)]
         assert bulk.remove_all(gone) == [row for row in gone if single.remove(row)]
         assert bulk.rows == single.rows
-        assert bulk.version == single.version
         assert list(bulk.deltas_since(0)) == list(single.deltas_since(0))
         for positions in bulk.maintained_index_positions:
             assert bulk.index_map(positions) == single.index_map(positions)
@@ -161,48 +149,61 @@ class TestDeltaLog:
         assert relation.log_length == 0
 
 
-class TestCountedRelation:
-    def test_row_appears_on_first_support(self):
-        relation = CountedRelation(("a",))
-        assert relation.add(("x",))
-        assert not relation.add(("x",))
-        assert relation.support(("x",)) == 2
-        assert relation.rows == {("x",)}
-
-    def test_row_disappears_with_last_support(self):
-        relation = CountedRelation(("a",), [("x",), ("x",)])
-        assert not relation.remove(("x",))
-        assert ("x",) in relation
-        assert relation.remove(("x",))
-        assert len(relation) == 0
-        assert relation.support(("x",)) == 0
-
-    def test_removing_unsupported_row_is_a_noop(self):
-        relation = CountedRelation(("a",))
-        assert not relation.remove(("x",))
+class TestSetSemantics:
+    """A row is present or absent: maintained answer relations rely on it,
+    since an answer determines its derivation."""
 
     def test_visibility_changes_are_logged_once(self):
-        relation = CountedRelation(("a",))
+        relation = Relation(("a",))
         relation.track_deltas()
-        relation.add(("x",))
-        relation.add(("x",))
-        relation.remove(("x",))
-        relation.remove(("x",))
+        assert relation.add(("x",))
+        assert not relation.add(("x",))
+        assert relation.remove(("x",))
+        assert not relation.remove(("x",))
         assert list(relation.deltas_since(0)) == [(("x",), 1), (("x",), -1)]
 
-    def test_discard_drops_all_support(self):
-        relation = CountedRelation(("a",), [("x",), ("x",)])
-        assert relation.discard(("x",))
-        assert relation.support(("x",)) == 0
-        assert len(relation) == 0
+    def test_removing_an_absent_row_changes_nothing(self):
+        relation = Relation(("a", "b"), [("x", "y")])
+        relation.ensure_index((0,))
+        relation.track_deltas()
+        epoch = relation.epoch
+        assert not relation.remove(("z", "y"))
+        assert relation.rows == {("x", "y")}
+        assert relation.log_length == 0
+        assert relation.epoch == epoch
+        assert relation.probe((0,), ("x",)) == {("x", "y")}
 
-    def test_replace_rows_recounts_support(self):
-        relation = CountedRelation(("a",), [("x",)])
+    def test_remove_patches_maintained_indexes(self):
+        relation = Relation(("a", "b"), [("x", "y"), ("x", "z"), ("w", "y")])
+        relation.ensure_index((0,))
+        relation.ensure_index((1,))
+        assert relation.remove(("x", "y"))
+        assert relation.probe((0,), ("x",)) == {("x", "z")}
+        assert relation.probe((1,), ("y",)) == {("w", "y")}
+
+    def test_replace_rows_collapses_duplicates(self):
+        relation = Relation(("a",), [("x",)])
         relation.replace_rows([("y",), ("y",)])
         assert relation.rows == {("y",)}
-        assert relation.support(("y",)) == 2
-        assert not relation.remove(("y",))
         assert relation.remove(("y",))
+        assert len(relation) == 0
+
+    def test_remove_all_logs_each_removed_row_once(self):
+        relation = Relation(("a",), [("x",), ("y",)])
+        relation.track_deltas()
+        assert relation.remove_all([("x",), ("x",), ("q",)]) == [("x",)]
+        assert list(relation.deltas_since(0)) == [(("x",), -1)]
+
+    def test_row_mutations_keep_the_epoch(self):
+        relation = Relation(("a",))
+        relation.track_deltas()
+        epoch = relation.epoch
+        relation.add(("x",))
+        relation.add_all([("y",), ("z",)])
+        relation.remove(("x",))
+        relation.remove_all([("y",)])
+        assert relation.epoch == epoch
+        assert relation.log_length == 5
 
 
 class TestRelationalOperators:
@@ -210,59 +211,6 @@ class TestRelationalOperators:
         relation = Relation(("a", "b", "c"), [("x", "y", "x"), ("x", "y", "z")])
         filtered = relation.select_positions_equal([(0, 2)])
         assert filtered.rows == {("x", "y", "x")}
-
-
-class TestNaturalJoin:
-    def test_join_on_shared_column(self):
-        left = Relation(("a", "b"), [("1", "x"), ("2", "y")])
-        right = Relation(("b", "c"), [("x", "end"), ("z", "other")])
-        joined = natural_join(left, right)
-        assert joined.schema == ("a", "b", "c")
-        assert joined.rows == {("1", "x", "end")}
-
-    def test_join_without_shared_columns_is_cartesian(self):
-        left = Relation(("a",), [("1",), ("2",)])
-        right = Relation(("b",), [("x",)])
-        joined = natural_join(left, right)
-        assert joined.rows == {("1", "x"), ("2", "x")}
-
-    def test_join_with_empty_side_is_empty(self):
-        left = Relation(("a", "b"), [("1", "x")])
-        right = Relation(("b", "c"))
-        assert len(natural_join(left, right)) == 0
-
-    def test_join_on_multiple_shared_columns(self):
-        left = Relation(("a", "b"), [("1", "x"), ("1", "y")])
-        right = Relation(("a", "b", "c"), [("1", "x", "q"), ("1", "z", "r")])
-        joined = natural_join(left, right)
-        assert joined.rows == {("1", "x", "q")}
-
-    @given(
-        st.sets(st.tuples(st.sampled_from("abc"), st.sampled_from("xyz")), max_size=12),
-        st.sets(st.tuples(st.sampled_from("xyz"), st.sampled_from("pq")), max_size=12),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_join_matches_nested_loop_reference(self, left_rows, right_rows):
-        left = Relation(("a", "b"), left_rows)
-        right = Relation(("b", "c"), right_rows)
-        expected = {
-            (la, lb, rc) for la, lb in left_rows for rb, rc in right_rows if lb == rb
-        }
-        assert natural_join(left, right).rows == expected
-
-    @given(
-        st.sets(st.tuples(st.sampled_from("abc"), st.sampled_from("xyz")), max_size=10),
-        st.sets(st.tuples(st.sampled_from("xyz"), st.sampled_from("pq")), max_size=10),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_join_is_symmetric_in_content(self, left_rows, right_rows):
-        left = Relation(("a", "b"), left_rows)
-        right = Relation(("b", "c"), right_rows)
-        forward = natural_join(left, right)
-        backward = natural_join(right, left)
-        # Same tuples, possibly different column order.
-        realigned = {tuple(row[backward.schema.index(c)] for c in forward.schema) for row in backward.rows}
-        assert realigned == forward.rows
 
 
 class TestExtendPathRows:

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro import NaiveEngine, TRICEngine, TRICPlusEngine, add, delete
 from repro.matching import answers as answers_module
-from repro.matching.relation import CountedRelation
 from repro.pubsub import SubscriptionBroker, canonical_key, replay_deltas
 from repro.query import QueryGraphPattern
 
@@ -199,6 +198,92 @@ class TestSharedViewsStayExact:
 
 
 # ----------------------------------------------------------------------
+# An answer determines its derivation: a maintained answer relation is a set
+# ----------------------------------------------------------------------
+#: Multi-path shapes mixing literals into cycles and repeated variables.
+LITERAL_SHAPES = {
+    "literal_cycle": [("a", "?x", "?y"), ("b", "?y", "v0"), ("a", "v0", "?x")],
+    "literal_fork": [("a", "v0", "?x"), ("b", "?x", "?y"), ("b", "?x", "?x")],
+    "literal_star": [("a", "?h", "v1"), ("b", "?h", "?y"), ("a", "?y", "?h")],
+}
+multi_path_sets = st.lists(
+    st.sampled_from(
+        ["star", "diamond", "fork", "cycle_fork", "triangle", *sorted(LITERAL_SHAPES)]
+    ),
+    min_size=2,
+    max_size=4,
+    unique=True,
+)
+#: Longer streams than one ``churn()``: multi-path answers need several edges.
+long_churn = st.lists(churn(), min_size=2, max_size=4).map(
+    lambda parts: [batch for part in parts for batch in part]
+)
+
+
+class _RecordingAnswers:
+    """Stands in for a maintainer's answer relation during one ``sync``,
+    recording whether each ``add`` / ``remove`` changed visibility."""
+
+    def __init__(self, relation, outcomes):
+        self._relation = relation
+        self._outcomes = outcomes
+
+    def add(self, row):
+        changed = self._relation.add(row)
+        self._outcomes.append(("add", row, changed))
+        return changed
+
+    def remove(self, row):
+        changed = self._relation.remove(row)
+        self._outcomes.append(("remove", row, changed))
+        return changed
+
+
+class TestAnswersAreSets:
+    @given(st.booleans(), multi_path_sets, long_churn)
+    @settings(max_examples=60, deadline=None)
+    def test_every_sync_mutation_changes_visibility(self, injective, names, batches):
+        """Derivation enumeration never repeats an answer, so every answer
+        ``sync`` adds is new and every answer it removes was present."""
+        shapes = {**SHAPES, **LITERAL_SHAPES}
+        queries = [QueryGraphPattern(name, shapes[name]) for name in names]
+        engine, oracle = TRICPlusEngine(injective=injective), NaiveEngine(injective=injective)
+        for each in (engine, oracle):
+            each.register_all(queries)
+        for name in names:  # live maintainers from the start
+            assert engine.matches_of(name) == []
+        outcomes = []
+        sync = answers_module.MaterializedAnswers.sync
+
+        def recording_sync(self, relations):
+            real = self.relation
+            self.relation = _RecordingAnswers(real, outcomes)
+            try:
+                sync(self, relations)
+            finally:
+                self.relation = real
+
+        answers_module.MaterializedAnswers.sync = recording_sync
+        try:
+            for batch in batches:
+                engine.on_batch(batch)
+                oracle.on_batch(batch)
+                for name in names:
+                    assert engine.matches_of(name) == oracle.matches_of(name)
+                    derivations = list(
+                        engine._plans[name].iter_derivations(
+                            engine._binding_relations[name], injective=injective
+                        )
+                    )
+                    assert len(derivations) == len(set(derivations))
+        finally:
+            answers_module.MaterializedAnswers.sync = sync
+        assert all(changed for _, _, changed in outcomes), [
+            outcome for outcome in outcomes if not outcome[2]
+        ]
+
+
+# ----------------------------------------------------------------------
 # Deterministic corners of the materialised feed
 # ----------------------------------------------------------------------
 class TestMaterialisedFeed:
@@ -240,8 +325,6 @@ class TestMaterialisedFeed:
             assert engine.matches_of("diamond") == oracle.matches_of("diamond")
             assert replay_deltas(frames)["diamond"] == _answer_keys(oracle, "diamond")
         assert overlay_probes, "both paths had pending deltas: the overlay must have been probed"
-        relation = engine.answer_delta_source("diamond").relation
-        assert all(relation.support(row) == 1 for row in relation.rows)
 
     @given(st.booleans(), churn())
     @settings(max_examples=40, deadline=None)
@@ -337,7 +420,6 @@ class TestNoPerQueryState:
             plan = engine._plans[query_id]
             for path_plan, relation in zip(plan.path_plans, relations):
                 assert id(relation) in owned  # no per-query binding rows exist
-                assert not isinstance(relation, CountedRelation)
                 assert relation.schema == path_plan.schema  # positional, not projected
 
     def test_queries_sharing_a_terminal_share_its_indexes(self):
