@@ -110,17 +110,6 @@ class ExperimentResult:
             )
         return result
 
-    def fastest_engine_at(self, x: object) -> Optional[str]:
-        """Engine with the best (lowest) metric value at ``x``."""
-        candidates = [
-            (self.value_of(p), p.engine)
-            for p in self.points
-            if p.x == x and not p.timed_out and self.value_of(p) is not None
-        ]
-        if not candidates:
-            return None
-        return min(candidates)[1]
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
@@ -150,29 +139,6 @@ class ExperimentResult:
         }[self.metric]
         header = f"{self.experiment_id}: {self.title}\nmetric: {legend}  (* = time budget exceeded)"
         return header + "\n" + format_table(headers, rows)
-
-    def to_markdown(self) -> str:
-        """The series as a Markdown table (one row per x value)."""
-        engines = self.engines()
-        by_key = {(p.x, p.engine): p for p in self.points}
-        lines = [
-            f"| {self.x_label} | " + " | ".join(engines) + " |",
-            "|" + "---|" * (len(engines) + 1),
-        ]
-        for x in self.x_values():
-            cells = []
-            for engine in engines:
-                point = by_key.get((x, engine))
-                if point is None:
-                    cells.append("-")
-                    continue
-                value = self.value_of(point)
-                cell = "-" if value is None else f"{value:.3f}"
-                if point.timed_out:
-                    cell += "\\*"
-                cells.append(cell)
-            lines.append(f"| {x} | " + " | ".join(cells) + " |")
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,13 @@
 
 from .engine import BatchReport, ContinuousEngine
 from .tric import TRICEngine, TRICPlusEngine
-from .trie import Trie, TrieForest, TrieNode
+from .trie import TrieForest, TrieNode
 
 __all__ = [
     "BatchReport",
     "ContinuousEngine",
     "TRICEngine",
     "TRICPlusEngine",
-    "Trie",
     "TrieForest",
     "TrieNode",
 ]

@@ -93,8 +93,8 @@ class TRICEngine(ContinuousEngine):
     ) -> None:
         super().__init__(injective=injective)
         self.materializes_answers = materialize_answers
-        self._forest = TrieForest()
         self._views = EdgeViewRegistry(interner=interner)
+        self._forest = TrieForest(self._views)
         self._plans: Dict[str, QueryEvaluationPlan] = {}
         # queryInd: query id -> per covering path, the positional relation
         # of its terminal node (the node's view, or the node's filtered view
@@ -124,25 +124,21 @@ class TRICEngine(ContinuousEngine):
         self._binding_relations[query_id] = relations
 
     def _backfill_chain(self, terminal: TrieNode) -> None:
-        """Recompute the views along a freshly indexed path.
+        """Recompute the views below the root along a freshly indexed path.
 
         Registering a query after updates have already been consumed must
         leave its trie nodes consistent with the base views accumulated so
-        far (shared prefixes may already carry data).  Recomputing the chain
-        root-to-terminal is idempotent for nodes that were already correct.
+        far (shared prefixes may already carry data).  The root is its
+        key's base view, so it is already current; recomputing the rest of
+        the chain top-down is idempotent for nodes that were already correct.
         """
         chain: List[TrieNode] = []
-        node: TrieNode | None = terminal
-        while node is not None:
+        node = terminal
+        while node.parent is not None:
             chain.append(node)
             node = node.parent
-        chain.reverse()
-        for node in chain:
-            base = self._views.view(node.key)
-            if node.is_root:
-                rows: Set[Row] = set(base.rows)
-            else:
-                rows = set(self._extend_rows(node.parent.view.rows, base))
+        for node in reversed(chain):
+            rows = set(self._extend_rows(node.parent.view.rows, self._views.view(node.key)))
             if rows != node.view.rows:
                 node.replace_rows(rows)
 
@@ -179,10 +175,11 @@ class TRICEngine(ContinuousEngine):
         for node in sorted(affected_nodes.values(), key=lambda n: n.depth):
             new_rows = new_by_key[node.key]
             if node.is_root:
-                delta = list(new_rows)
+                # The root's view is the base view: the registry added them.
+                added = new_rows
+                node.filter_added(added)
             else:
-                delta = self._delta_against_parent(node, new_rows)
-            added = node.add_rows(delta)
+                added = node.add_rows(self._delta_against_parent(node, new_rows))
             if not added:
                 continue
             self._record_terminal(node, added, affected)
@@ -280,8 +277,13 @@ class TRICEngine(ContinuousEngine):
         # Shallow nodes first, mirroring additions: a deeper node hit both
         # directly and through its ancestor sees its view already pruned.
         for node in sorted(affected_nodes.values(), key=lambda n: n.depth):
-            dead = self._direct_dead_rows(node, removed_by_key[node.key])
-            removed = node.remove_rows(dead)
+            retracted = removed_by_key[node.key]
+            if node.is_root:
+                # The root's view is the base view: the registry removed them.
+                removed = retracted
+                node.filter_removed(removed)
+            else:
+                removed = node.remove_rows(self._direct_dead_rows(node, retracted))
             if not removed:
                 continue
             affected_queries.update(query_id for query_id, _ in node.query_paths)
@@ -294,8 +296,8 @@ class TRICEngine(ContinuousEngine):
         return BatchReport(invalidated, affected=affected_queries)
 
     def _direct_dead_rows(self, node: TrieNode, removed_rows: Set[Row]) -> List[Row]:
-        """Rows of ``node``'s view that use a retracted base tuple at the
-        node's own edge position.
+        """Rows of a non-root ``node``'s view that use a retracted base tuple
+        at the node's own edge position.
 
         Probes the view's maintained ``(source, target)``-pair index, so the
         cost is proportional to the retracted tuples' buckets, not the view.

@@ -9,6 +9,11 @@ and the *materialization* between queries — including the maintained
 indexes the queries probe: a terminal node's view *is* the binding relation
 of every covering path that ends there (see :meth:`TrieNode.binding_relation`).
 
+A root's prefix is its one edge, so a root's view *is* the registry's base
+view ``matV[e]`` of its key (:meth:`TrieForest.index_path`): one relation,
+filled by the registry, never copied.  Only nodes below the roots own a view
+of their own.
+
 The forest also maintains the paper's auxiliary indexes:
 
 * ``rootInd``  — first edge key -> trie root (:attr:`TrieForest.roots`),
@@ -24,9 +29,10 @@ import itertools
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..matching.relation import Relation, Row, rows_with_equal_positions
+from ..matching.views import EdgeViewRegistry
 from ..query.terms import EdgeKey
 
-__all__ = ["TrieNode", "Trie", "TrieForest"]
+__all__ = ["TrieNode", "TrieForest"]
 
 _node_ids = itertools.count()
 
@@ -53,14 +59,14 @@ class TrieNode:
         "query_paths",
     )
 
-    def __init__(self, key: EdgeKey, parent: "TrieNode | None") -> None:
+    def __init__(self, key: EdgeKey, parent: "TrieNode | None", view: Relation) -> None:
         self.node_id = next(_node_ids)
         self.key = key
         self.parent = parent
         #: Child nodes by the edge key they index.
         self.children: Dict[EdgeKey, TrieNode] = {}
         self.depth = 1 if parent is None else parent.depth + 1
-        self.view = Relation(_prefix_schema(self.depth))
+        self.view = view
         #: Equality signature -> the view's rows satisfying it, for covering
         #: paths that repeat a variable (see :meth:`binding_relation`).
         self.filtered_views: Dict[EqualityPositions, Relation] = {}
@@ -72,15 +78,12 @@ class TrieNode:
         """``True`` for the first node of a trie (depth 1)."""
         return self.parent is None
 
-    def child_with_key(self, key: EdgeKey) -> "TrieNode | None":
-        """Return the child indexing ``key`` or ``None``."""
-        return self.children.get(key)
-
     def add_child(self, key: EdgeKey) -> "TrieNode":
         """Create (or reuse) the child indexing ``key``."""
         child = self.children.get(key)
         if child is None:
-            child = self.children[key] = TrieNode(key, self)
+            view = Relation(_prefix_schema(self.depth + 1))
+            child = self.children[key] = TrieNode(key, self, view)
         return child
 
     # ------------------------------------------------------------------
@@ -110,17 +113,29 @@ class TrieNode:
         """Add ``rows`` to the view; return the genuinely new ones."""
         added = self.view.add_all(rows)
         if added and self.filtered_views:
-            for equality, relation in self.filtered_views.items():
-                relation.add_all(rows_with_equal_positions(added, equality))
+            self.filter_added(added)
         return added
 
     def remove_rows(self, rows: Iterable[Row]) -> List[Row]:
         """Remove ``rows`` from the view; return the ones actually removed."""
         removed = self.view.remove_all(rows)
         if removed and self.filtered_views:
-            for equality, relation in self.filtered_views.items():
-                relation.remove_all(rows_with_equal_positions(removed, equality))
+            self.filter_removed(removed)
         return removed
+
+    def filter_added(self, added: Iterable[Row]) -> None:
+        """Patch the filtered views with rows the view has just gained.
+
+        A root calls this directly: the registry has already added the rows
+        to its (shared) view.
+        """
+        for equality, relation in self.filtered_views.items():
+            relation.add_all(rows_with_equal_positions(added, equality))
+
+    def filter_removed(self, removed: Iterable[Row]) -> None:
+        """Patch the filtered views with rows the view has just lost."""
+        for equality, relation in self.filtered_views.items():
+            relation.remove_all(rows_with_equal_positions(removed, equality))
 
     def replace_rows(self, rows: Set[Row]) -> None:
         """Replace the view wholesale (backfill): an epoch bump for readers."""
@@ -143,61 +158,37 @@ class TrieNode:
         )
 
 
-class Trie:
-    """A single trie rooted at one generalised edge key."""
-
-    def __init__(self, root_key: EdgeKey) -> None:
-        self.root = TrieNode(root_key, None)
-
-    @property
-    def root_key(self) -> EdgeKey:
-        """The edge key indexed by the trie root."""
-        return self.root.key
-
-    def insert_path(self, keys: Sequence[EdgeKey]) -> TrieNode:
-        """Index the key sequence ``keys`` and return its terminal node.
-
-        ``keys[0]`` must equal the root key.  Shared prefixes reuse existing
-        nodes; only the unshared suffix creates new nodes.
-        """
-        if not keys or keys[0] != self.root.key:
-            raise ValueError("path does not start with this trie's root key")
-        node = self.root
-        for key in keys[1:]:
-            node = node.add_child(key)
-        return node
-
-    def nodes(self) -> Iterator[TrieNode]:
-        """Iterate over every node of the trie."""
-        return self.root.descendants()
-
-    def num_nodes(self) -> int:
-        """Total number of nodes in the trie."""
-        return sum(1 for _ in self.nodes())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Trie(root={self.root.key}, nodes={self.num_nodes()})"
-
-
 class TrieForest:
-    """The forest of tries plus the root/edge inverted indexes."""
+    """The forest of tries plus the root/edge inverted indexes.
 
-    def __init__(self) -> None:
-        #: rootInd: first edge key of a path -> its trie.
-        self.roots: Dict[EdgeKey, Trie] = {}
+    ``views`` is the engine's base-view registry: every root is built on
+    the registry's view of its key.
+    """
+
+    def __init__(self, views: EdgeViewRegistry) -> None:
+        self._views = views
+        #: rootInd: first edge key of a path -> the root node of its trie.
+        self.roots: Dict[EdgeKey, TrieNode] = {}
         #: edgeInd: edge key -> every node indexing the key, in any trie.
         self.edge_index: Dict[EdgeKey, Tuple[TrieNode, ...]] = {}
 
     def index_path(self, keys: Sequence[EdgeKey]) -> TrieNode:
-        """Index one covering path (as generalised keys); return terminal node."""
+        """Index one covering path (as generalised keys); return terminal node.
+
+        Shared prefixes reuse existing nodes; only the unshared suffix
+        creates new ones.  A new root's view is the registry's base view of
+        ``keys[0]`` — the same object, so the registry's maintenance is the
+        root's.
+        """
         if not keys:
             raise ValueError("cannot index an empty key sequence")
         root_key = keys[0]
-        trie = self.roots.get(root_key)
-        if trie is None:
-            trie = Trie(root_key)
-            self.roots[root_key] = trie
-        terminal = trie.insert_path(keys)
+        terminal = self.roots.get(root_key)
+        if terminal is None:
+            terminal = TrieNode(root_key, None, self._views.register(root_key))
+            self.roots[root_key] = terminal
+        for key in keys[1:]:
+            terminal = terminal.add_child(key)
         # New nodes form a suffix of the chain: an indexed node was indexed
         # together with all of its ancestors.
         node: TrieNode | None = terminal
@@ -213,26 +204,18 @@ class TrieForest:
         """Every trie node in the forest indexing ``key`` (the ``edgeInd`` probe)."""
         return self.edge_index.get(key, ())
 
-    def contains_key(self, key: EdgeKey) -> bool:
-        """``True`` when any trie indexes ``key``."""
-        return key in self.edge_index
-
-    def all_keys(self) -> Set[EdgeKey]:
-        """Every distinct edge key indexed anywhere in the forest."""
-        return set(self.edge_index)
-
     def num_tries(self) -> int:
         """Number of tries in the forest."""
         return len(self.roots)
 
     def num_nodes(self) -> int:
         """Total number of trie nodes across the forest."""
-        return sum(trie.num_nodes() for trie in self.roots.values())
+        return sum(1 for _ in self.nodes())
 
     def nodes(self) -> Iterator[TrieNode]:
         """Iterate over every node of every trie."""
-        for trie in self.roots.values():
-            yield from trie.nodes()
+        for root in self.roots.values():
+            yield from root.descendants()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TrieForest(tries={self.num_tries()}, nodes={self.num_nodes()})"

@@ -40,7 +40,7 @@ class DuplicateQueryError(EngineError):
 
 
 class UnknownQueryError(EngineError):
-    """Raised when unregistering or inspecting a query id that is not indexed."""
+    """Raised when inspecting or polling a query id that was never registered."""
 
 
 class ShardUnavailableError(EngineError):
@@ -82,7 +82,8 @@ class SnapshotCorruptError(PersistenceError):
 
 
 class JournalCorruptError(PersistenceError):
-    """Raised when a write-ahead journal record *before* the tail is torn.
+    """Raised when a write-ahead journal record *before* the tail is torn,
+    or when replay meets a record whose op it does not know.
 
     A torn **final** record is the expected signature of a crash mid-write
     and is silently truncated during replay; corruption anywhere earlier

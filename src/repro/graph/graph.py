@@ -68,11 +68,6 @@ class Graph:
         """Number of edges counting multiplicities."""
         return sum(self._edge_counts.values())
 
-    @property
-    def num_distinct_edges(self) -> int:
-        """Number of distinct ``(label, source, target)`` triples."""
-        return len(self._edge_counts)
-
     def vertices(self) -> Iterator[Vertex]:
         """Iterate over all vertices."""
         label_of = self._interner.label_of

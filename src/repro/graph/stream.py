@@ -41,11 +41,6 @@ class GraphStream:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_edges(cls, edges: Iterable[Edge], name: str = "stream") -> "GraphStream":
-        """Build an addition-only stream from an iterable of edges."""
-        return cls((Update(edge) for edge in edges), name=name)
-
-    @classmethod
     def from_triples(
         cls, triples: Iterable[tuple[str, str, str]], name: str = "stream"
     ) -> "GraphStream":
@@ -97,13 +92,6 @@ class GraphStream:
                 self._updates[start : start + batch_size],
                 name=f"{self.name}[{start}:{start + batch_size}]",
             )
-
-    def additions_only(self) -> "GraphStream":
-        """Return a stream with deletions filtered out."""
-        return GraphStream(
-            (u for u in self._updates if u.kind is UpdateKind.ADD),
-            name=f"{self.name}(additions)",
-        )
 
     def to_graph(self) -> Graph:
         """Materialise the graph obtained by applying every update in order."""

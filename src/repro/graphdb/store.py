@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
-from ..graph.elements import Edge
 from ..graph.errors import EdgeNotFoundError
 from .indexes import AdjacencyIndex, LabelIndex, VertexLabelIndex
 
@@ -37,10 +36,6 @@ class StoredEdge:
     label: str
     source: str
     target: str
-
-    def as_edge(self) -> Edge:
-        """Convert to the lightweight :class:`~repro.graph.elements.Edge`."""
-        return Edge(self.label, self.source, self.target)
 
 
 @dataclass(frozen=True)

@@ -158,10 +158,6 @@ class QueryEvaluationPlan:
         """All generalised edge keys used by the query's covering paths."""
         return set(self.key_occurrences)
 
-    def paths_containing(self, key: EdgeKey) -> List[int]:
-        """Indices of covering paths that contain ``key``."""
-        return [index for index, _ in self.key_occurrences.get(key, [])]
-
     # ------------------------------------------------------------------
     # Answer assembly
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A :class:`Relation` is a named-column set of tuples over graph vertices.  It
 is the representation used for
 
-* base edge views (schema ``("s", "t")``),
+* base edge views (schema ``("p0", "p1")``; a TRIC trie root's view is one),
 * per-path prefix views inside the TRIC tries (schema ``("p0", ..., "pk")``),
 * query-level answer relations (schema of variable names).
 

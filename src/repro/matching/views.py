@@ -19,8 +19,10 @@ from .relation import Relation, Row
 
 __all__ = ["EdgeViewRegistry"]
 
-# Base edge views always use this two-column schema: source and target vertex.
-EDGE_VIEW_SCHEMA = ("s", "t")
+# Base edge views use the schema of a depth-1 trie view (source and target
+# vertex): a trie root's view *is* the base view of its key.  Columns are read
+# by position, never by name.
+EDGE_VIEW_SCHEMA = ("p0", "p1")
 
 
 class EdgeViewRegistry:

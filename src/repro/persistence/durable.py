@@ -32,6 +32,7 @@ from ..core.engine import BatchReport, ContinuousEngine
 from ..graph.elements import Update
 from ..graph.errors import (
     DuplicateQueryError,
+    JournalCorruptError,
     PersistenceError,
     SnapshotCorruptError,
 )
@@ -143,7 +144,8 @@ class DurableEngine:
         exists yet (a directory that only ever journaled); with a snapshot
         present the factory is ignored.  A torn final journal record —
         the signature of a crash mid-write — is truncated silently;
-        corruption before the tail raises
+        corruption before the tail, or a record whose op is neither
+        ``register`` nor ``batch``, raises
         :class:`~repro.graph.errors.JournalCorruptError`.
 
         **Generation fallback.**  A corrupt current snapshot (or one lost
@@ -230,8 +232,12 @@ class DurableEngine:
     def _apply_record(self, record) -> None:
         if record.op == "register":
             self.engine.register(record.pattern())
-        else:  # "batch" / "backfill" both replay as a micro-batch
+        elif record.op == "batch":
             self.engine.on_batch(record.updates())
+        else:
+            raise JournalCorruptError(
+                f"journal record {record.seq} has unknown op {record.op!r}"
+            )
         self._seq = record.seq
 
     def _replay_previous_segment(self) -> None:

@@ -2,8 +2,8 @@
 
 The delta pipeline already makes each state change a signed, ordered delta;
 this module gives those deltas a durable home.  A :class:`DeltaJournal` is
-an append-only file of *records* — one per registration, backfill, or
-update micro-batch — with the same JSON-lines framing the pub/sub layer
+an append-only file of *records* — one per registration or update
+micro-batch — with the same JSON-lines framing the pub/sub layer
 streams over stdout, hardened for crash recovery:
 
 ``<length:08x> <crc32:08x> <json body>\\n``
@@ -26,7 +26,10 @@ Record bodies (JSON objects, compact separators)::
 
     {"seq": N, "op": "batch",    "updates": [["+","knows","a","b"], ...]}
     {"seq": N, "op": "register", "pattern": {"id": ..., "edges": [...]}}
-    {"seq": N, "op": "backfill", "updates": [...]}   # silent replay
+
+Recovery (:meth:`~repro.persistence.durable.DurableEngine.recover`) applies
+exactly these two ops and refuses any other with a
+:class:`~repro.graph.errors.JournalCorruptError`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.elements import Update
 from ..graph.errors import JournalCorruptError, PersistenceError
@@ -71,7 +74,7 @@ class JournalRecord:
         self.payload = payload
 
     def updates(self) -> List[Update]:
-        """The record's update batch (``batch`` / ``backfill`` records)."""
+        """The record's update batch (``batch`` records)."""
         return updates_from_payload(self.payload["updates"])
 
     def pattern(self) -> QueryGraphPattern:
@@ -213,10 +216,6 @@ class DeltaJournal:
     def append_register(self, seq: int, pattern: QueryGraphPattern) -> None:
         """Journal one query registration."""
         self.append(seq, "register", {"pattern": pattern_to_payload(pattern)})
-
-    def append_backfill(self, seq: int, updates: Sequence[Update]) -> None:
-        """Journal a silent backfill replay (sharded mid-stream gains)."""
-        self.append(seq, "backfill", {"updates": updates_to_payload(updates)})
 
     # ------------------------------------------------------------------
     # Replay (the recovery half)

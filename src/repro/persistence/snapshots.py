@@ -65,7 +65,9 @@ SNAPSHOT_MAGIC = b"REPROSNAP"
 #: and sharded groups carry no thread pool.
 #: 4: relations lost their ``version`` slot and maintained answer relations
 #: are plain ``Relation`` objects (no support counts).
-SNAPSHOT_VERSION = 4
+#: 5: a trie root's view is its key's base view (one shared relation, schema
+#: ``("p0", "p1")``) and the ``Trie`` wrapper is gone.
+SNAPSHOT_VERSION = 5
 
 #: Envelope header: magic, u16 version, u32 CRC32, u64 payload length.
 _HEADER = struct.Struct(">%dsHIQ" % len(SNAPSHOT_MAGIC))

@@ -125,12 +125,6 @@ class TestRunningASmallExperiment:
         assert set(series) == {"TRIC+", "INV"}
         table = tiny_result.to_table()
         assert "fig12a" in table and "TRIC+" in table
-        markdown = tiny_result.to_markdown()
-        assert markdown.startswith("|")
-
-    def test_fastest_engine_at(self, tiny_result):
-        last_x = tiny_result.x_values()[-1]
-        assert tiny_result.fastest_engine_at(last_x) in {"TRIC+", "INV"}
 
     def test_render_experiment_includes_paper_context(self, tiny_result):
         text = render_experiment(tiny_result)

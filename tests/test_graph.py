@@ -30,7 +30,6 @@ class TestGraphBasics:
     def test_num_edges_counts_multiplicity(self, small_graph):
         small_graph.add_edge(Edge("knows", "a", "b"))
         assert small_graph.num_edges == 4
-        assert small_graph.num_distinct_edges == 3
         assert small_graph.multiplicity(Edge("knows", "a", "b")) == 2
 
     def test_has_edge(self, small_graph):

@@ -156,14 +156,15 @@ class TestSnapshotEnvelope:
         with pytest.raises(SnapshotCorruptError):
             decode_snapshot(tampered)
 
-    @pytest.mark.parametrize("old", [1, 2])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4])
     def test_older_envelope_versions_are_refused_with_a_typed_error(self, old):
         """Format 2 dropped the per-query binding copies and the unread
         delta logs, format 3 moved the pickled process shard and dropped
-        the group's thread pool; an older payload would unpickle into
-        classes or attributes the code no longer has, so it is refused at
-        the envelope, not deserialised."""
-        assert SNAPSHOT_VERSION == 4
+        the group's thread pool, format 4 dropped relation versions, and
+        format 5 made each trie root share its key's base view; an older
+        payload would unpickle into classes or attributes the code no
+        longer has, so it is refused at the envelope, not deserialised."""
+        assert SNAPSHOT_VERSION == 5
         blob = encode_snapshot("payload")
         stale = blob[:9] + old.to_bytes(2, "big") + blob[11:]  # valid CRC, old version
         assert len(stale) == len(blob)  # header size unchanged
@@ -234,10 +235,10 @@ class TestDeltaJournal:
         journal = DeltaJournal(tmp_path / "j.wal")
         journal.append_register(1, patterns()[0])
         journal.append_batch(2, interleaved_stream(8))
-        journal.append_backfill(3, interleaved_stream(4, seed=1))
+        journal.append_batch(3, interleaved_stream(4, seed=1))
         records, torn = journal.replay()
         assert not torn
-        assert [record.op for record in records] == ["register", "batch", "backfill"]
+        assert [record.op for record in records] == ["register", "batch", "batch"]
         assert records[0].pattern().query_id == "chain"
         assert records[1].updates() == interleaved_stream(8)
         assert records[2].updates() == interleaved_stream(4, seed=1)
@@ -508,6 +509,20 @@ class TestDurableEngineMechanics:
     def test_recover_needs_snapshot_or_factory(self, tmp_path):
         with pytest.raises(PersistenceError):
             DurableEngine.recover(tmp_path / "missing")
+
+    def test_journal_record_with_an_unknown_op_is_refused(self, tmp_path):
+        """Replay knows ``register`` and ``batch`` only: a CRC-valid frame
+        with any other op is refused, never replayed as a batch."""
+        factory = ENGINE_FACTORIES["TRIC+"]
+        with DurableEngine(factory(), tmp_path / "d") as durable:
+            durable.register_all(patterns())
+            seq = durable.describe()["durability"]["seq"]
+            path = durable.journal.path
+        updates = [update_to_payload(update) for update in interleaved_stream(4)]
+        with open(path, "ab") as handle:
+            handle.write(frame_record({"seq": seq + 1, "op": "backfill", "updates": updates}))
+        with pytest.raises(JournalCorruptError, match="unknown op 'backfill'"):
+            DurableEngine.recover(tmp_path / "d", engine_factory=factory)
 
     def test_snapshot_every_validated(self, tmp_path):
         with pytest.raises(PersistenceError):

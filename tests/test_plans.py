@@ -67,9 +67,9 @@ class TestQueryEvaluationPlan:
         plan = QueryEvaluationPlan(q1)
         assert set(plan.variable_names) == {v.name for v in q1.variables()}
 
-    def test_key_occurrences_and_paths_containing(self, chain_plan):
+    def test_key_occurrences(self, chain_plan):
         for key in chain_plan.distinct_keys():
-            assert chain_plan.paths_containing(key) == [0]
+            assert [index for index, _ in chain_plan.key_occurrences[key]] == [0]
 
     def test_evaluate_full_single_path(self, chain_plan):
         rows = {("f1", "p1", "pst1"), ("f2", "p1", "pst1")}

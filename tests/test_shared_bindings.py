@@ -10,15 +10,20 @@ record none.
 The properties below churn TRIC and TRIC+ (homomorphic and injective) with
 chain, star, fork, cycle, self-loop and self-join queries and hold them, after
 every batch, to the Naive oracle, to a never-polled twin and to a freshly
-built engine; the structural tests pin what must *not* exist any more.
+built engine; the structural tests pin what must *not* exist any more, and
+that a trie root's view is its key's base view — one relation, never a copy.
 """
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import NaiveEngine, TRICEngine, TRICPlusEngine, add, delete
+from repro import NaiveEngine, TRICEngine, TRICPlusEngine, add, create_sharded_engine, delete
+from repro.core.engine import ContinuousEngine
 from repro.matching import answers as answers_module
 from repro.pubsub import SubscriptionBroker, canonical_key, replay_deltas
 from repro.query import QueryGraphPattern
@@ -488,3 +493,101 @@ class TestNoPerQueryState:
         base, nodes = _relations_of(plain)
         assert not any(view.tracks_deltas for view in base)
         assert not any(node.view.tracks_deltas for node in nodes)
+
+
+# ----------------------------------------------------------------------
+# A trie root's view is its key's base view
+# ----------------------------------------------------------------------
+def _assert_roots_are_base_views(engine):
+    assert engine.forest.roots
+    for key, root in engine.forest.roots.items():
+        assert root.view is engine.views.get(key)
+
+
+def _churned_batches(seed, count, size=5):
+    """Deterministic add/delete batches over ``LABELS`` x ``VERTICES``
+    (self-loops included, deletions retract live edges)."""
+    rng = random.Random(seed)
+    live, batches = [], []
+    for _ in range(count):
+        batch = []
+        for _ in range(size):
+            if live and rng.random() < 0.4:
+                edge = live.pop(rng.randrange(len(live)))
+                batch.append(delete(edge.label, edge.source, edge.target))
+            else:
+                update = add(rng.choice(LABELS), rng.choice(VERTICES), rng.choice(VERTICES))
+                live.append(update.edge)
+                batch.append(update)
+        batches.append(batch)
+    return batches
+
+
+#: Registered mid-stream: both are rooted at ``b``, a key the early queries
+#: only use below their roots, so the new root lands on a populated view.
+LATE = [
+    QueryGraphPattern("late_edge", [("b", "?u", "?v")]),
+    QueryGraphPattern("late_chain", [("b", "?x", "?y"), ("a", "?y", "?z")]),
+]
+
+
+class TestRootsAreBaseViews:
+    @pytest.mark.parametrize("factory", [TRICEngine, TRICPlusEngine])
+    def test_through_churn_restore_and_a_late_root(self, factory):
+        early = _patterns(["chain", "loop", "star", "cycle_fork"])
+        engine, oracle = factory(), NaiveEngine()
+        for each in (engine, oracle):
+            each.register_all(early)
+        _assert_roots_are_base_views(engine)  # at registration
+        batches = _churned_batches(seed=43, count=24)
+
+        def run(batches, names):
+            for batch in batches:
+                assert engine.on_batch(batch) == oracle.on_batch(batch)
+                for name in names:
+                    assert _answer_keys(engine, name) == _answer_keys(oracle, name)
+
+        names = [pattern.query_id for pattern in early]
+        run(batches[:8], names)
+        _assert_roots_are_base_views(engine)  # after churn
+        # ``loop`` reads its root through a filtered view, patched from the
+        # rows the registry applied to the shared base view.
+        (root,) = engine.forest.roots.values()
+        (loop_view,) = root.filtered_views.values()
+        assert loop_view.rows == {row for row in root.view.rows if row[0] == row[1]}
+
+        engine = ContinuousEngine.restore(engine.snapshot())
+        _assert_roots_are_base_views(engine)  # after restore
+        run(batches[8:16], names)
+
+        roots_before = set(engine.forest.roots)
+        for each in (engine, oracle):
+            each.register_all(LATE)
+        assert len(engine.forest.roots) == len(roots_before) + 1
+        _assert_roots_are_base_views(engine)  # after a mid-stream new root
+        names += [pattern.query_id for pattern in LATE]
+        run(batches[16:], names)
+        _assert_roots_are_base_views(engine)
+        if factory is TRICPlusEngine:
+            # a polled single-edge path ends on the root: its base view has a reader
+            (new_key,) = set(engine.forest.roots) - roots_before
+            assert engine.views.get(new_key).tracks_deltas
+
+    def test_inside_process_shard_workers(self):
+        # hash assignment puts chain, loop and LATE on shard 0, cycle and
+        # triangle on shard 1: every worker holds roots
+        queries = _patterns(["chain", "loop", "cycle", "triangle"]) + LATE
+        group = create_sharded_engine("TRIC+", 2, executor="process")
+        oracle = NaiveEngine()
+        try:
+            for each in (group, oracle):
+                each.register_all(queries)
+            for batch in _churned_batches(seed=7, count=10):
+                assert group.on_batch(batch) == oracle.on_batch(batch)
+            for query in queries:
+                assert group.matches_of(query.query_id) == oracle.matches_of(query.query_id)
+            for shard in group.shards:
+                blob = shard._supervised(lambda worker: worker.snapshot())
+                _assert_roots_are_base_views(ContinuousEngine.restore(blob))
+        finally:
+            group.close()

@@ -19,11 +19,6 @@ class TestConstruction:
     def test_timestamps_are_renumbered(self, stream):
         assert [u.timestamp for u in stream] == [0, 1, 2]
 
-    def test_from_edges(self):
-        stream = GraphStream.from_edges([Edge("l", "a", "b"), Edge("l", "b", "c")])
-        assert len(stream) == 2
-        assert all(u.is_addition for u in stream)
-
     def test_from_triples(self):
         stream = GraphStream.from_triples([("l", "a", "b")])
         assert stream[0].edge == Edge("l", "a", "b")
@@ -60,11 +55,6 @@ class TestSlicing:
     def test_batches_invalid_size(self, stream):
         with pytest.raises(StreamError):
             list(stream.batches(0))
-
-    def test_additions_only(self, stream):
-        additions = stream.additions_only()
-        assert len(additions) == 2
-        assert all(u.is_addition for u in additions)
 
 
 class TestMaterialisation:
