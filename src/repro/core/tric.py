@@ -162,17 +162,18 @@ class TRICEngine(ContinuousEngine):
         if not new_by_key:
             return BatchReport(affected=())
 
-        affected_nodes: Dict[int, TrieNode] = {}
-        for key in new_by_key:
-            for node in self._forest.nodes_with_key(key):
-                affected_nodes[node.node_id] = node
+        # A node indexes exactly one key, so no node is listed twice.
+        forest = self._forest
+        affected_nodes = [
+            node for key in new_by_key for node in forest.nodes_with_key(key)
+        ]
         if not affected_nodes:
             return BatchReport(affected=())
 
         affected: _AffectedMap = {}
         # Shallow nodes first so a parent's view already contains the new
         # delta when a deeper node with the same key computes its own delta.
-        for node in sorted(affected_nodes.values(), key=lambda n: n.depth):
+        for node in sorted(affected_nodes, key=lambda n: n.depth):
             new_rows = new_by_key[node.key]
             if node.is_root:
                 # The root's view is the base view: the registry added them.
@@ -268,15 +269,15 @@ class TRICEngine(ContinuousEngine):
         if not removed_by_key:
             return BatchReport(affected=())
 
-        affected_nodes: Dict[int, TrieNode] = {}
-        for key in removed_by_key:
-            for node in self._forest.nodes_with_key(key):
-                affected_nodes[node.node_id] = node
+        forest = self._forest
+        affected_nodes = [
+            node for key in removed_by_key for node in forest.nodes_with_key(key)
+        ]
 
         affected_queries: Set[str] = set()
         # Shallow nodes first, mirroring additions: a deeper node hit both
         # directly and through its ancestor sees its view already pruned.
-        for node in sorted(affected_nodes.values(), key=lambda n: n.depth):
+        for node in sorted(affected_nodes, key=lambda n: n.depth):
             retracted = removed_by_key[node.key]
             if node.is_root:
                 # The root's view is the base view: the registry removed them.

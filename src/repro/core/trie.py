@@ -25,7 +25,6 @@ The forest also maintains the paper's auxiliary indexes:
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..matching.relation import Relation, Row, rows_with_equal_positions
@@ -33,8 +32,6 @@ from ..matching.views import EdgeViewRegistry
 from ..query.terms import EdgeKey
 
 __all__ = ["TrieNode", "TrieForest"]
-
-_node_ids = itertools.count()
 
 #: ``PathPlan.equality_positions`` of a covering path with repeated variables.
 EqualityPositions = Tuple[Tuple[int, int], ...]
@@ -49,7 +46,6 @@ class TrieNode:
     """One trie node: a generalised edge key plus the view of its prefix path."""
 
     __slots__ = (
-        "node_id",
         "key",
         "parent",
         "children",
@@ -60,7 +56,6 @@ class TrieNode:
     )
 
     def __init__(self, key: EdgeKey, parent: "TrieNode | None", view: Relation) -> None:
-        self.node_id = next(_node_ids)
         self.key = key
         self.parent = parent
         #: Child nodes by the edge key they index.
@@ -153,7 +148,7 @@ class TrieNode:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TrieNode(id={self.node_id}, depth={self.depth}, key={self.key}, "
+            f"TrieNode(depth={self.depth}, key={self.key}, "
             f"children={len(self.children)}, rows={len(self.view)})"
         )
 

@@ -67,7 +67,9 @@ SNAPSHOT_MAGIC = b"REPROSNAP"
 #: are plain ``Relation`` objects (no support counts).
 #: 5: a trie root's view is its key's base view (one shared relation, schema
 #: ``("p0", "p1")``) and the ``Trie`` wrapper is gone.
-SNAPSHOT_VERSION = 5
+#: 6: trie nodes lost their process-global ``node_id`` (a restored node's
+#: id could collide with a node registered after the restore).
+SNAPSHOT_VERSION = 6
 
 #: Envelope header: magic, u16 version, u32 CRC32, u64 payload length.
 _HEADER = struct.Struct(">%dsHIQ" % len(SNAPSHOT_MAGIC))

@@ -12,15 +12,21 @@ degrade gracefully to in-process execution.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import QueryBuilder, add, create_sharded_engine, delete
+from repro import NaiveEngine, QueryBuilder, add, create_sharded_engine, delete
 from repro.core.engine import ContinuousEngine
 from repro.engines import ENGINE_FACTORIES
 from repro.graph.errors import (
@@ -156,15 +162,16 @@ class TestSnapshotEnvelope:
         with pytest.raises(SnapshotCorruptError):
             decode_snapshot(tampered)
 
-    @pytest.mark.parametrize("old", [1, 2, 3, 4])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5])
     def test_older_envelope_versions_are_refused_with_a_typed_error(self, old):
         """Format 2 dropped the per-query binding copies and the unread
         delta logs, format 3 moved the pickled process shard and dropped
-        the group's thread pool, format 4 dropped relation versions, and
-        format 5 made each trie root share its key's base view; an older
-        payload would unpickle into classes or attributes the code no
-        longer has, so it is refused at the envelope, not deserialised."""
-        assert SNAPSHOT_VERSION == 5
+        the group's thread pool, format 4 dropped relation versions,
+        format 5 made each trie root share its key's base view, and format
+        6 dropped the trie nodes' ids; an older payload would unpickle into
+        classes or attributes the code no longer has, so it is refused at
+        the envelope, not deserialised."""
+        assert SNAPSHOT_VERSION == 6
         blob = encode_snapshot("payload")
         stale = blob[:9] + old.to_bytes(2, "big") + blob[11:]  # valid CRC, old version
         assert len(stale) == len(blob)  # header size unchanged
@@ -225,6 +232,57 @@ class TestEngineSnapshotRestore:
         assert delta_frames(restored, subscribed, suffix) == delta_frames(
             engine, subscribed, suffix
         )
+
+
+    def test_query_registered_after_a_restore_in_a_fresh_process(self, tmp_path):
+        """A snapshot taken in one interpreter and restored in another: a
+        query registered after the restore must not displace the restored
+        query's trie nodes (the older query would silently answer ``[]``)."""
+        chain, _, tri = patterns()
+        updates = interleaved_stream(48)
+        inputs, blob = tmp_path / "inputs.pkl", tmp_path / "engine.snap"
+        inputs.write_bytes(pickle.dumps((chain, tri, updates[:24], updates[24:])))
+        prelude = f"""
+            import json, pickle
+            from repro.core.engine import ContinuousEngine
+            from repro.engines import create_engine
+            chain, tri, head, tail = pickle.loads(open({str(inputs)!r}, "rb").read())
+            """
+        take = """
+            engine = create_engine("TRIC+")
+            engine.register(chain)
+            engine.on_batch(head)
+            open(BLOB, "wb").write(engine.snapshot())
+            """
+        restore = """
+            engine = ContinuousEngine.restore(open(BLOB, "rb").read())
+            engine.register(tri)
+            engine.on_batch(tail)
+            print(json.dumps({q: engine.matches_of(q) for q in ("chain", "tri")}))
+            """
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for step in (take, restore):
+            script = textwrap.dedent(prelude) + textwrap.dedent(step).replace(
+                "BLOB", repr(str(blob))
+            )
+            child = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert child.returncode == 0, child.stderr
+        answers = json.loads(child.stdout)
+        oracle = NaiveEngine()
+        oracle.register(chain)
+        oracle.on_batch(updates[:24])
+        oracle.register(tri)
+        oracle.on_batch(updates[24:])
+        assert answers == {q: oracle.matches_of(q) for q in ("chain", "tri")}
+        assert answers["chain"]
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import QueryBuilder, add, delete
+from repro import NaiveEngine, QueryBuilder, add, delete
 from repro.core.engine import ContinuousEngine
 from repro.graph.errors import EngineError, PersistenceError, UnknownQueryError
 from repro.persistence.workers import ProcessWorker, WorkerLost, collect
@@ -167,6 +167,31 @@ class TestReplicaReads:
             group.on_batch([add("knows", "v0", "v1")])
             oracle.on_batch([add("knows", "v0", "v1")])
             assert_same_answers(group, oracle)
+
+
+    def test_query_registered_after_a_restore_stays_maintained(self, hard_timeout):
+        """A replica re-seeded from a snapshot replays a registration made
+        after it; the new query's trie nodes must not displace the
+        restored query's, or the restored query silently stops gaining
+        answers on that replica."""
+        chain, _, tri = patterns()
+        oracle = NaiveEngine()
+        with ShardedEngineGroup("TRIC+", 1, executor="process", replicas=1) as group:
+            oracle.register(chain)
+            group.register(chain)
+            group.snapshot()  # the recovery source re-anchors on this blob
+            for engine in (group, oracle):
+                engine.register(tri)
+                engine.on_batch(interleaved_stream(24))
+            group.shards[0].kill_replica()
+            # Served by the primary; re-seeds a replica from blob + tail.
+            assert group.matches_of("chain") == oracle.matches_of("chain")
+            for engine in (group, oracle):
+                engine.on_batch([add("knows", "v0", "v1")])
+            assert group.shards[0].replica_pids()
+            for query_id in ("chain", "tri"):
+                assert group.matches_of(query_id) == oracle.matches_of(query_id)
+            assert group.matches_of("chain")
 
 
 # ----------------------------------------------------------------------

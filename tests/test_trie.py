@@ -49,11 +49,7 @@ class TestTrieNode:
         root = _root(K_HASMOD)
         child = root.add_child(K_POSTED1)
         grandchild = child.add_child(K_CONTAINED)
-        assert {node.node_id for node in root.descendants()} == {
-            root.node_id,
-            child.node_id,
-            grandchild.node_id,
-        }
+        assert list(root.descendants()) == [root, child, grandchild]
 
 
 class TestTrieForest:
