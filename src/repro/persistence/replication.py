@@ -11,7 +11,9 @@ Replication is asynchronous but loss-free: an op is forwarded to replicas
 only **after** the primary acknowledged it, so a promoted replica (drained
 of its queued ops) is exactly the primary's acknowledged state, and the
 in-flight batch the dead primary never acknowledged is re-run exactly once
-— byte-identical to a never-crashed shard.
+— byte-identical to a never-crashed shard.  Each state-changing op is
+encoded into one frame, and the primary, every replica and the recovery
+tail receive those same bytes.
 """
 
 from __future__ import annotations
@@ -23,11 +25,22 @@ from ..core.engine import BatchReport
 from ..graph.elements import Update
 from ..graph.errors import PersistenceError, ShardUnavailableError
 from ..query.pattern import QueryGraphPattern
-from .workers import ProcessWorker, RecoverySource, Reply, Worker, WorkerLost, collect
+from .workers import (
+    ProcessWorker,
+    RecoverySource,
+    Reply,
+    Worker,
+    WorkerLost,
+    collect,
+    encode_frame,
+)
 
-__all__ = ["ReplicaSet", "ShardSupervisor"]
+__all__ = ["PendingBatch", "ReplicaSet", "ShardSupervisor"]
 
 T = TypeVar("T")
+
+#: A batch in flight on a primary: its encoded frame and the pending reply.
+PendingBatch = Tuple[bytes, Reply]
 
 
 # ----------------------------------------------------------------------
@@ -74,10 +87,10 @@ class ReplicaSet:
         replica.shutdown()
 
     # -- the replication stream ------------------------------------------
-    def forward(self, seq: int, op: str, args: Tuple) -> None:
-        """Ship one primary-acknowledged op to every live replica (async)."""
+    def forward(self, seq: int, frame: bytes) -> None:
+        """Ship one primary-acknowledged op frame to every live replica (async)."""
         for replica in list(self.replicas):
-            replica.forward(seq, op, args)
+            replica.forward(seq, frame)
             if not replica.ack():
                 self._detach(replica)
 
@@ -177,10 +190,12 @@ class ReplicaSet:
 class ShardSupervisor:
     """Supervised, engine-shaped front of one shard living in worker processes.
 
-    State-changing commands run on the primary; once it replied, the op is
-    recorded in the recovery source (re-anchored on a fresh primary
-    snapshot every ``snapshot_every`` ops) and forwarded to the replicas.
-    Reads round-robin across the replicas, failing over to the primary.
+    State-changing commands run on the primary; once it replied, the op's
+    frame is recorded in the recovery source and forwarded to the replicas.
+    The source re-anchors on a fresh primary snapshot as soon as its tail's
+    bytes reach the last snapshot's, so a replay covers about one
+    snapshot's worth of ops.  Reads round-robin across the replicas,
+    failing over to the primary.
 
     A worker death (``SIGKILL``, OOM, crash) is recovered, not propagated:
     the freshest replica is promoted, else a worker is respawned from the
@@ -196,7 +211,6 @@ class ShardSupervisor:
         engine_name: str,
         engine_kwargs: Dict[str, object],
         *,
-        snapshot_every: int = 32,
         max_respawns: int = 3,
         replicas: int = 0,
         respawn_window: float = 60.0,
@@ -207,8 +221,6 @@ class ShardSupervisor:
         engine snapshot (see :meth:`__getstate__`); a new shard has neither."""
         self.name = engine_name
         self._query_ids: List[str] = list(query_ids)
-        #: Worker snapshot cadence in acknowledged state-changing commands.
-        self.snapshot_every = snapshot_every
         self.max_respawns = max_respawns
         #: Sliding window (seconds) over which worker deaths count against
         #: ``max_respawns`` — only death *bursts* degrade the shard.
@@ -237,7 +249,6 @@ class ShardSupervisor:
         return {
             "engine_name": self.name,
             "engine_kwargs": source.engine_kwargs,
-            "snapshot_every": self.snapshot_every,
             "max_respawns": self.max_respawns,
             "replicas": self.replica_target,
             "respawn_window": self.respawn_window,
@@ -264,12 +275,15 @@ class ShardSupervisor:
     def _execute(self, op: str, *args):
         return self._supervised(lambda primary: primary.call(op, *args))
 
+    def _run(self, frame: bytes):
+        return self._supervised(lambda primary: collect(primary.submit_frame(frame)))
+
     def _checkpoint(self) -> None:
         self._supervised(self._source.checkpoint)
 
-    def _acknowledge(self, op: str, args: Tuple) -> None:
+    def _acknowledge(self, frame: bytes) -> None:
         """Record one state-changing command the primary replied to, and
-        replicate it.
+        replicate it; checkpoint once the tail outweighs the snapshot.
 
         Ops reach the recovery source and the replicas strictly *after*
         the primary acknowledged them — the invariant promotion relies on:
@@ -280,17 +294,18 @@ class ShardSupervisor:
         if self.degraded:
             return
         source = self._source
-        self._replicas.forward(source.record(op, args), op, args)
+        self._replicas.forward(source.record(frame), frame)
         self._replicas.replenish(source)
-        if len(source.tail) >= self.snapshot_every:
+        if source.tail_bytes >= source.snapshot_bytes:
             self._checkpoint()
 
     def _mutate(self, op: str, *args):
-        result = self._execute(op, *args)
-        self._acknowledge(op, args)
+        frame = encode_frame(op, args)
+        result = self._run(frame)
+        self._acknowledge(frame)
         return result
 
-    def start_batch(self, updates: Sequence[Update]) -> Reply:
+    def start_batch(self, updates: Sequence[Update]) -> PendingBatch:
         """Send a batch command without waiting (the concurrent fan-out).
 
         Pair with :meth:`finish_batch`, which collects the reply *and*
@@ -299,10 +314,11 @@ class ShardSupervisor:
         """
         if self._closed:
             raise ShardUnavailableError(f"process shard {self.name!r} is closed")
-        return self._primary.submit("batch", list(updates))
+        frame = encode_frame("batch", (list(updates),))
+        return frame, self._primary.submit_frame(frame)
 
     def finish_batch(
-        self, reply: Reply, updates: Sequence[Update]
+        self, pending: PendingBatch
     ) -> Tuple[BatchReport, FrozenSet[str], float]:
         """Collect a :meth:`start_batch` reply, recovering a dead worker.
 
@@ -311,13 +327,13 @@ class ShardSupervisor:
         batch acknowledged) or both died (a worker at the pre-batch state
         takes over, batch re-run once via the supervised channel).
         """
-        updates = list(updates)
+        frame, reply = pending
         try:
             result = collect(reply)
         except WorkerLost:
             self._recover()
-            result = self._execute("batch", updates)
-        self._acknowledge("batch", (updates,))
+            result = self._run(frame)
+        self._acknowledge(frame)
         return result
 
     # -- supervision policy ----------------------------------------------
@@ -429,15 +445,19 @@ class ShardSupervisor:
 
     def replication_info(self) -> Dict[str, object]:
         """The shard's supervision report (cheap: no worker IPC)."""
-        seq = self._source.seq
+        source = self._source
+        seq = source.seq
         return {
             "respawns": self.respawns,
             "promotions": self.promotions,
             "restarts": self.restarts,
             "replayed_ops": self.replayed_ops,
             "degraded": self.degraded,
-            "ops_logged": len(self._source.tail),
-            "worker_snapshot": self._source.blob is not None,
+            "ops_logged": len(source.tail),
+            "tail_bytes": source.tail_bytes,
+            "worker_snapshot": source.blob is not None,
+            "snapshot_bytes": source.snapshot_bytes,
+            "checkpoints": source.checkpoints,
             "seq": seq,
             "replicas": self._replicas.statistics(seq),
         }

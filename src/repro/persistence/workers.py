@@ -12,12 +12,17 @@ the one policy every worker is made by: *a worker is brought to sequence N
 by restoring a snapshot and replaying the acknowledged ops after it*.  Who
 serves what, and what happens on a loss, is policy and lives in
 :mod:`repro.persistence.replication`.
+
+A command travels as a *frame*: the pickled ``(op, args)`` pair
+(:func:`encode_frame`).  A state-changing op is encoded once, and those
+same bytes go to the primary, to every replica and into the recovery tail.
 """
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import pickle
 import signal
 import time
 from collections import deque
@@ -36,6 +41,7 @@ __all__ = [
     "Worker",
     "WorkerLost",
     "collect",
+    "encode_frame",
     "run_batch",
     "silent_backfill",
 ]
@@ -55,6 +61,11 @@ FORWARD_WINDOW = 32
 #: Why a handle is lost when a ``send``/``recv`` on its pipe is cut short by
 #: anything but a transport failure (see :class:`ProcessWorker`).
 _INTERRUPTED = "shard worker pipe interrupted mid-frame"
+
+
+def encode_frame(op: str, args: Tuple) -> bytes:
+    """One command as the bytes a worker's pipe carries."""
+    return pickle.dumps((op, args), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class WorkerLost(Exception):
@@ -136,8 +147,8 @@ class ShardHost:
 def _worker_main(conn, engine_name: str, engine_kwargs: Dict[str, object]) -> None:
     """A worker process: build the engine, then answer command frames in order.
 
-    A frame is ``(op, args)``; the reply is ``(True, result)`` or
-    ``(False, exception)``.  The worker exits on the exit frame ``None`` or
+    A frame is an :func:`encode_frame` ``(op, args)`` pair; the reply is
+    ``(True, result)`` or ``(False, exception)``.  The worker exits on the exit frame ``None`` or
     when the parent's end of the pipe is gone.  Workers ignore
     SIGINT/SIGTERM: a terminal signal aimed at the serving process (or its
     whole process group — a ^C) must not kill the shards out from under the
@@ -225,15 +236,29 @@ def collect(reply: Reply) -> object:
 
 
 class Worker:
-    """What the supervision layer asks of a shard worker, wherever it runs."""
+    """What the supervision layer asks of a shard worker, wherever it runs.
 
-    #: Sequence number of the last acknowledged op this worker is known to
-    #: hold (its position in the primary's acknowledged-ops stream).
-    applied_seq = 0
+    Besides single commands, a worker takes the replication stream:
+    :meth:`forward` ships acknowledged op frames without waiting and
+    :meth:`ack` / :meth:`drain` advance :attr:`applied_seq` over their
+    replies.  Bringing a worker to a sequence and replicating to it are
+    this one mechanism (see :meth:`RecoverySource.catch_up`).
+    """
+
+    def __init__(self) -> None:
+        #: Sequence number of the last acknowledged op this worker is known
+        #: to hold (its position in the primary's acknowledged-ops stream).
+        self.applied_seq = 0
+        #: Forwarded-but-not-yet-acknowledged ops: (seq, reply), FIFO.
+        self._pending: Deque[Tuple[int, Reply]] = deque()
+
+    def submit_frame(self, frame: bytes) -> Reply:
+        """Send one encoded command without waiting; :func:`collect` the reply."""
+        raise NotImplementedError
 
     def submit(self, op: str, *args) -> Reply:
-        """Send one command without waiting; :func:`collect` the reply."""
-        raise NotImplementedError
+        """Encode and send one command without waiting."""
+        return self.submit_frame(encode_frame(op, args))
 
     def call(self, op: str, *args) -> object:
         """Run one command to completion."""
@@ -243,6 +268,36 @@ class Worker:
         """The engine's full state as a checksummed blob."""
         return self.call("snapshot")
 
+    # -- the replication stream ------------------------------------------
+    def forward(self, seq: int, frame: bytes) -> None:
+        """Ship acknowledged op number ``seq`` without waiting (FIFO)."""
+        self._pending.append((seq, self.submit_frame(frame)))
+
+    def ack(self) -> bool:
+        """Advance ``applied_seq`` over finished forwards, waiting only
+        while more than :data:`FORWARD_WINDOW` are outstanding.  ``False``:
+        a forwarded op failed — the worker died or diverged from its
+        primary — and it must not serve again."""
+        return self._settle(wait=False)
+
+    def drain(self) -> bool:
+        """Block until every forwarded op is applied (``False`` as above)."""
+        return self._settle(wait=True)
+
+    def _settle(self, wait: bool) -> bool:
+        pending = self._pending
+        while pending and (
+            wait or len(pending) > FORWARD_WINDOW or pending[0][1].done()
+        ):
+            seq, reply = pending.popleft()
+            try:
+                reply.result()
+            except Exception:
+                return False
+            self.applied_seq = seq
+        return True
+
+    # -- the process -----------------------------------------------------
     def pid(self) -> Optional[int]:
         """OS pid of the worker process (``None``: it has none)."""
         return None
@@ -257,17 +312,18 @@ class Worker:
 class LocalWorker(Worker):
     """A shard engine in the parent's own address space, worker-shaped.
 
-    What a degraded shard runs on: commands execute synchronously and come
-    back as already-settled replies, so callers written against
-    :class:`ProcessWorker` need no second code path.
+    What a degraded shard runs on: frames are decoded and executed
+    synchronously and come back as already-settled replies, so callers
+    written against :class:`ProcessWorker` need no second code path.
     """
 
     def __init__(self, engine_name: str, engine_kwargs: Dict[str, object]) -> None:
+        super().__init__()
         self._host = ShardHost(engine_name, engine_kwargs)
 
-    def submit(self, op: str, *args) -> Reply:
+    def submit_frame(self, frame: bytes) -> Reply:
         try:
-            return Reply(value=self._host.run(op, args))
+            return Reply(value=self._host.run(*pickle.loads(frame)))
         except Exception as error:
             return Reply(ok=False, value=error)
 
@@ -291,6 +347,7 @@ class ProcessWorker(Worker):
     """
 
     def __init__(self, engine_name: str, engine_kwargs: Dict[str, object]) -> None:
+        super().__init__()
         context = multiprocessing.get_context("fork")
         conn, child_conn = context.Pipe()
         # Workers forked later inherit this end; they close their copies,
@@ -308,13 +365,11 @@ class ProcessWorker(Worker):
         self._in_flight: Deque[Reply] = deque()
         #: The transport failure this worker was lost to (``None``: alive).
         self._lost: Optional[BaseException] = None
-        #: Forwarded-but-not-yet-acknowledged ops: (seq, reply), FIFO.
-        self._pending: Deque[Tuple[int, Reply]] = deque()
 
-    def submit(self, op: str, *args) -> Reply:
+    def submit_frame(self, frame: bytes) -> Reply:
         if self._lost is None:
             try:
-                self._conn.send((op, args))
+                self._conn.send_bytes(frame)
             except WORKER_FAILURES as error:
                 self._lose(error)
             except BaseException:
@@ -358,35 +413,6 @@ class ProcessWorker(Worker):
             self._in_flight.popleft()._settle(False, self._lost)
         self._hang_up()
 
-    # -- the replication stream ------------------------------------------
-    def forward(self, seq: int, op: str, args: Tuple) -> None:
-        """Ship acknowledged op number ``seq`` without waiting (FIFO)."""
-        self._pending.append((seq, self.submit(op, *args)))
-
-    def ack(self) -> bool:
-        """Advance ``applied_seq`` over finished forwards, waiting only
-        while more than :data:`FORWARD_WINDOW` are outstanding.  ``False``:
-        a forwarded op failed — the worker died or diverged from its
-        primary — and it must not serve again."""
-        return self._settle(wait=False)
-
-    def drain(self) -> bool:
-        """Block until every forwarded op is applied (``False`` as above)."""
-        return self._settle(wait=True)
-
-    def _settle(self, wait: bool) -> bool:
-        pending = self._pending
-        while pending and (
-            wait or len(pending) > FORWARD_WINDOW or pending[0][1].done()
-        ):
-            seq, reply = pending.popleft()
-            try:
-                reply.result()
-            except Exception:
-                return False
-            self.applied_seq = seq
-        return True
-
     # -- the process -----------------------------------------------------
     def pid(self) -> int:
         """OS pid of the worker process."""
@@ -411,10 +437,18 @@ class RecoverySource:
 
     ``blob`` is the last snapshot pulled from the primary (``None``: a new
     shard, whose workers start from an empty engine), ``snapshot_seq`` the
-    acknowledged sequence it covers, and ``tail`` the state-changing
-    commands the primary acknowledged since, in order — entry ``i`` is op
-    number ``snapshot_seq + i + 1``.  The tail doubles as the replication
-    stream's history: it is what bridges a replica to the current sequence.
+    acknowledged sequence it covers, and ``tail`` the frames of the
+    state-changing commands the primary acknowledged since, in order —
+    entry ``i`` is op number ``snapshot_seq + i + 1`` — and ``tail_bytes``
+    their total length.  The tail doubles as the replication stream's
+    history: it is what bridges a replica to the current sequence.
+
+    The owner re-anchors the source (:meth:`checkpoint`) once the tail
+    weighs as much as the blob (``tail_bytes >= snapshot_bytes``; a missing
+    blob weighs nothing): a replay is then bounded by
+    about one snapshot's worth of ops, and a snapshot of ``B`` bytes is
+    pulled only after ``B`` bytes of acknowledged ops, so checkpointing
+    costs amortised O(1) per op byte whatever the state's size.
     """
 
     def __init__(
@@ -427,16 +461,25 @@ class RecoverySource:
         self.engine_kwargs = dict(engine_kwargs)
         self.blob = blob
         self.snapshot_seq = 0
-        self.tail: List[Tuple[str, Tuple]] = []
+        self.tail: List[bytes] = []
+        self.tail_bytes = 0
+        #: Snapshots pulled into this source.
+        self.checkpoints = 0
 
     @property
     def seq(self) -> int:
         """Sequence number of the last acknowledged state-changing command."""
         return self.snapshot_seq + len(self.tail)
 
-    def record(self, op: str, args: Tuple) -> int:
-        """Log one command the primary just acknowledged; returns its seq."""
-        self.tail.append((op, args))
+    @property
+    def snapshot_bytes(self) -> int:
+        """Length of the blob (0 while there is none)."""
+        return 0 if self.blob is None else len(self.blob)
+
+    def record(self, frame: bytes) -> int:
+        """Log one command frame the primary just acknowledged; returns its seq."""
+        self.tail.append(frame)
+        self.tail_bytes += len(frame)
         return self.seq
 
     def checkpoint(self, primary: Worker) -> None:
@@ -449,6 +492,8 @@ class RecoverySource:
         self.blob = primary.snapshot()
         self.snapshot_seq = self.seq
         self.tail.clear()
+        self.tail_bytes = 0
+        self.checkpoints += 1
 
     def build(self, in_process: bool = False) -> Worker:
         """A new worker at the acknowledged sequence: spawn, restore the
@@ -468,13 +513,22 @@ class RecoverySource:
 
     def catch_up(self, worker: Worker) -> None:
         """Replay onto ``worker`` the acknowledged ops after its
-        ``applied_seq``.  A worker that predates the snapshot is refused:
-        the ops that would bridge it have been truncated."""
+        ``applied_seq``, through its forward window.  A worker that
+        predates the snapshot is refused (the ops that would bridge it have
+        been truncated), and so is one on which a replayed op fails."""
         if worker.applied_seq < self.snapshot_seq:
             raise WorkerLost(
                 f"worker at seq {worker.applied_seq} predates the recovery "
                 f"snapshot at seq {self.snapshot_seq}"
             )
-        for op, args in self.tail[worker.applied_seq - self.snapshot_seq :]:
-            worker.call(op, *args)
-            worker.applied_seq += 1
+        first = worker.applied_seq + 1
+        for seq, frame in enumerate(self.tail[first - 1 - self.snapshot_seq :], first):
+            worker.forward(seq, frame)
+            if not worker.ack():
+                break
+        else:
+            if worker.drain():
+                return
+        raise WorkerLost(
+            f"replaying the recovery tail failed after seq {worker.applied_seq}"
+        )

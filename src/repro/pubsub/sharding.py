@@ -122,11 +122,6 @@ class ShardedEngineGroup(ContinuousEngine):
         (ignored when ``engine`` is already a callable).
     injective:
         Injective (isomorphism) answer semantics, forwarded to the shards.
-    worker_snapshot_every:
-        Process executor only: pull a recovery snapshot from each worker
-        every this many state-changing commands (``>= 1``).  The snapshot
-        plus the commands acknowledged since it are the shard's recovery
-        source — what every worker of the shard is built from.
     max_respawns:
         Process executor only: worker deaths a shard survives via
         respawn + restore before degrading gracefully to in-process serial
@@ -152,15 +147,12 @@ class ShardedEngineGroup(ContinuousEngine):
         executor: str = "serial",
         injective: bool = False,
         engine_kwargs: Optional[Dict[str, object]] = None,
-        worker_snapshot_every: int = 32,
         max_respawns: int = 3,
         replicas: int = 0,
         respawn_window: float = 60.0,
     ) -> None:
         super().__init__(injective=injective)
         check_group_options(num_shards, assignment, executor, replicas)
-        if not isinstance(worker_snapshot_every, int) or worker_snapshot_every < 1:
-            raise EngineError("worker_snapshot_every must be an integer >= 1")
         if respawn_window is None:
             raise EngineError("respawn_window must be a number of seconds")
         self.assignment = assignment
@@ -187,7 +179,6 @@ class ShardedEngineGroup(ContinuousEngine):
                 factory = lambda: ShardSupervisor(  # noqa: E731
                     engine,
                     kwargs,
-                    snapshot_every=worker_snapshot_every,
                     max_respawns=max_respawns,
                     replicas=replicas,
                     respawn_window=respawn_window,
@@ -511,10 +502,10 @@ class ShardedEngineGroup(ContinuousEngine):
             # Collection goes through each shard's finish_batch, which is
             # where worker death is detected and supervised recovery (and
             # the exactly-once re-run of the in-flight batch) happens.
-            replies = [self.shards[index].start_batch(updates) for index, updates in jobs]
+            pending = [self.shards[index].start_batch(updates) for index, updates in jobs]
             return [
-                self.shards[index].finish_batch(reply, updates)
-                for (index, updates), reply in zip(jobs, replies)
+                self.shards[index].finish_batch(batch)
+                for (index, _), batch in zip(jobs, pending)
             ]
         return [run_batch(self.shards[index], updates) for index, updates in jobs]
 

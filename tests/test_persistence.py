@@ -803,9 +803,7 @@ class TestSupervisedProcessShards:
         updates = interleaved_stream(60)
         oracle = ShardedEngineGroup("TRIC+", 2, executor="serial")
         oracle.register_all(patterns())
-        with ShardedEngineGroup(
-            "TRIC+", 2, executor="process", worker_snapshot_every=4
-        ) as group:
+        with ShardedEngineGroup("TRIC+", 2, executor="process") as group:
             group.register_all(patterns())
             chunks = batches_of(updates, 6)
             for index, batch in enumerate(chunks):
@@ -829,9 +827,7 @@ class TestSupervisedProcessShards:
         oracle.register_all(patterns())
         broker_o = SubscriptionBroker(oracle)
         sub_o = broker_o.subscribe("probe", subscribed)
-        with ShardedEngineGroup(
-            "TRIC+", 2, executor="process", worker_snapshot_every=4
-        ) as group:
+        with ShardedEngineGroup("TRIC+", 2, executor="process") as group:
             group.register_all(patterns())
             broker_g = SubscriptionBroker(group)
             sub_g = broker_g.subscribe("probe", subscribed)
@@ -861,9 +857,7 @@ class TestSupervisedProcessShards:
         oracle = ShardedEngineGroup("TRIC+", 2, executor="serial")
         oracle.register_all(patterns())
         broker_o = SubscriptionBroker(oracle)
-        with ShardedEngineGroup(
-            "TRIC+", 2, executor="process", worker_snapshot_every=3
-        ) as group:
+        with ShardedEngineGroup("TRIC+", 2, executor="process") as group:
             group.register_all(patterns())
             broker_g = SubscriptionBroker(group)
             subs = {}  # listener id -> (oracle subscription, group subscription)
@@ -904,7 +898,7 @@ class TestSupervisedProcessShards:
         oracle = ShardedEngineGroup("TRIC+", 1, executor="serial")
         oracle.register_all(patterns())
         with ShardedEngineGroup(
-            "TRIC+", 1, executor="process", max_respawns=1, worker_snapshot_every=3
+            "TRIC+", 1, executor="process", max_respawns=1
         ) as group:
             group.register_all(patterns())
             chunks = batches_of(updates, 6)

@@ -36,7 +36,13 @@ import pytest
 from repro import NaiveEngine, QueryBuilder, add, delete
 from repro.core.engine import ContinuousEngine
 from repro.graph.errors import EngineError, PersistenceError, UnknownQueryError
-from repro.persistence.workers import ProcessWorker, WorkerLost, collect
+from repro.persistence.workers import (
+    ProcessWorker,
+    RecoverySource,
+    WorkerLost,
+    collect,
+    encode_frame,
+)
 from repro.pubsub import ShardedEngineGroup, SubscriptionBroker
 
 
@@ -91,7 +97,6 @@ def frames_of(subscription):
 
 def replicated_group(**kwargs):
     kwargs.setdefault("replicas", 1)
-    kwargs.setdefault("worker_snapshot_every", 4)
     return ShardedEngineGroup("TRIC+", 2, executor="process", **kwargs)
 
 
@@ -215,29 +220,25 @@ class TestReplicaLifecycle:
             assert info["promotions"] == 0
             assert group.describe()["degraded_shards"] == 0
 
-    @pytest.mark.parametrize("snapshot_every", [4, 7])
-    def test_reseeded_replica_serves_correct_reads(self, snapshot_every, hard_timeout):
+    @pytest.mark.parametrize("tail", ["empty-tail", "snapshot-and-tail"])
+    def test_reseeded_replica_serves_correct_reads(self, tail, hard_timeout):
         oracle = ShardedEngineGroup("TRIC+", 2, executor="serial")
         oracle.register_all(patterns())
-        with replicated_group(worker_snapshot_every=snapshot_every) as group:
+        with replicated_group() as group:
             group.register_all(patterns())
             group.on_batch(interleaved_stream(24))
             oracle.on_batch(interleaved_stream(24))
-            if snapshot_every == 7:
+            group.snapshot()  # pickling checkpoints: every tail is empty
+            if tail == "snapshot-and-tail":
                 # Park every shard between two worker snapshots, so the
                 # replacement replica needs the snapshot *and* the ops
                 # acknowledged after it.
                 filler = [add("knows", "v0", "v1"), add("likes", "v1", "v2")]
-                for _ in range(2 * snapshot_every):
-                    logs = [
-                        shard.describe()["supervision"] for shard in group.shards
-                    ]
-                    if all(s["worker_snapshot"] and s["ops_logged"] for s in logs):
-                        break
-                    group.on_batch(filler)
-                    oracle.on_batch(filler)
-                else:  # pragma: no cover - the cadences cannot stay aligned
-                    pytest.fail("shards never sat between two worker snapshots")
+                group.on_batch(filler)
+                oracle.on_batch(filler)
+            for info in group.replication_statistics():
+                assert info["worker_snapshot"]
+                assert bool(info["ops_logged"]) == (tail == "snapshot-and-tail")
             group.shards[0].kill_replica()
             group.shards[1].kill_replica()
             # The next acknowledged op triggers the re-seed...
@@ -725,74 +726,201 @@ class TestComposedFaults:
 # ----------------------------------------------------------------------
 # One way to build a worker: what crosses the command channel
 # ----------------------------------------------------------------------
+#: The ops that change a worker's state (recorded, forwarded, replayed).
+STATE_CHANGING = ("register", "backfill", "batch")
+
+
+@pytest.fixture
+def frame_log(monkeypatch):
+    """Every frame sent to a worker process and every blob pulled from
+    one, in order: ``(worker, op, frame)`` and ``(worker, "blob", blob)``."""
+    log = []
+    submit_frame, snapshot = ProcessWorker.submit_frame, ProcessWorker.snapshot
+
+    def logged_submit_frame(worker, frame):
+        log.append((worker, pickle.loads(frame)[0], frame))
+        return submit_frame(worker, frame)
+
+    def logged_snapshot(worker):
+        blob = snapshot(worker)
+        log.append((worker, "blob", blob))
+        return blob
+
+    monkeypatch.setattr(ProcessWorker, "submit_frame", logged_submit_frame)
+    monkeypatch.setattr(ProcessWorker, "snapshot", logged_snapshot)
+    return log
+
+
+def logged_for(frame_log, pid, ops):
+    """The payloads of ``ops`` logged for the worker with ``pid``, in order."""
+    return [
+        payload for worker, op, payload in frame_log if op in ops and worker.pid() == pid
+    ]
+
+
+def assert_checkpoints_follow_the_size_rule(frame_log, pid):
+    """Walk one primary's log: a blob is pulled right after the op whose
+    frame brought the tail's bytes up to the last blob's (a missing blob
+    weighs nothing), and at no other time."""
+    tail = blob = 0
+    due = False
+    for worker, op, payload in frame_log:
+        if worker.pid() != pid:
+            continue
+        if op == "blob":
+            assert due, "a snapshot was pulled before the tail outweighed the last one"
+            tail, blob, due = 0, len(payload), False
+        elif op in STATE_CHANGING:
+            assert not due, "a due checkpoint was skipped"
+            tail += len(payload)
+            due = tail >= blob
+    assert not due, "a due checkpoint was skipped"
+
+
 class TestCommandAccounting:
-    def test_snapshots_are_pulled_only_by_cadence_and_pickling(
-        self, hard_timeout, monkeypatch
+    def test_snapshots_are_pulled_only_by_the_size_rule_and_pickling(
+        self, hard_timeout, frame_log
     ):
         """Every worker is built from the shard's recovery source, so
         constructing a replicated group and restoring one pull no snapshot
-        at all; a fault-free stream pulls exactly one per shard per
-        ``worker_snapshot_every`` acknowledged ops."""
-        issued = Counter()
-        submit = ProcessWorker.submit
+        at all; a fault-free stream pulls one exactly when a shard's tail
+        of acknowledged frames weighs as much as its last snapshot."""
 
-        def counting_submit(worker, op, *args):
-            issued[op] += 1
-            return submit(worker, op, *args)
+        def issued(op):
+            return sum(1 for _, logged, _ in frame_log if logged == op)
 
-        monkeypatch.setattr(ProcessWorker, "submit", counting_submit)
-        with replicated_group(worker_snapshot_every=32) as group:
+        with replicated_group() as group:
+            assert issued("snapshot") == issued("restore") == 0
             group.register_all(patterns())
-            assert issued["snapshot"] == issued["restore"] == 0
             for update in interleaved_stream(60):
                 group.on_batch([update])
-            acknowledged = [info["seq"] for info in group.replication_statistics()]
-            assert max(acknowledged) >= 64  # the cadence fired more than once
-            assert issued["snapshot"] == sum(seq // 32 for seq in acknowledged)
-            assert issued["restore"] == 0
+            for shard in group.shards:
+                assert_checkpoints_follow_the_size_rule(frame_log, shard.worker_pid())
+            checkpoints = [info["checkpoints"] for info in group.replication_statistics()]
+            assert min(checkpoints) >= 2  # the rule fired after the first one
+            assert issued("snapshot") == issued("blob") == sum(checkpoints)
+            assert issued("restore") == 0
             blob = group.snapshot()  # pickling checkpoints each shard once
-            assert issued["snapshot"] == sum(seq // 32 for seq in acknowledged) + 2
-            issued.clear()
+            assert issued("snapshot") == sum(checkpoints) + 2
+            frame_log.clear()
             with ContinuousEngine.restore(blob) as restored:
                 assert_same_answers(restored, group)
                 # 2 primaries + 2 replicas restored from the pickled blobs.
-                assert issued["restore"] == 4
-                assert issued["snapshot"] == 0
+                assert issued("restore") == 4
+                assert issued("snapshot") == 0
 
-    def test_one_command_per_batch_forward_and_read(self, hard_timeout, monkeypatch):
+    def test_one_frame_per_batch_forward_and_read(self, hard_timeout, frame_log):
         """Pins the round trips of a fault-free 2x1 stream: one ``batch``
-        per shard batch on the primary and one forward of it per replica,
-        exactly one command per replica read, no ``pid`` round trip, and
-        snapshots only at the cadence."""
-        issued = Counter()
-        submit = ProcessWorker.submit
-
-        def counting_submit(worker, op, *args):
-            issued[worker, op] += 1
-            return submit(worker, op, *args)
-
-        monkeypatch.setattr(ProcessWorker, "submit", counting_submit)
-        with replicated_group(worker_snapshot_every=32) as group:
-            assert sum(n for (_, op), n in issued.items() if op == "pid") == 0
+        frame per shard batch on the primary and a forward of those same
+        bytes per replica (each op is encoded once), exactly one command
+        per replica read, no ``pid`` round trip, and snapshots only at
+        the checkpoints."""
+        with replicated_group() as group:
+            assert not [op for _, op, _ in frame_log if op == "pid"]
             group.register_all(patterns())
             for update in interleaved_stream(60):
                 group.on_batch([update])
             reads = [pattern.query_id for pattern in patterns()] * 3
             for query_id in reads:
                 group.matches_of(query_id)
-            counts = Counter()
-            for (worker, op), n in issued.items():
-                counts[worker.pid(), op] += n
+            counts = Counter((worker.pid(), op) for worker, op, _ in frame_log)
             statistics = group.replication_statistics()
             batches = group.describe()["shard_batches"]
             for shard, shard_batches, info in zip(group.shards, batches, statistics):
                 primary, (replica,) = shard.worker_pid(), shard.replica_pids()
                 assert counts[primary, "batch"] == shard_batches
                 assert counts[replica, "batch"] == shard_batches  # the forwards
-                assert counts[primary, "snapshot"] == info["seq"] // 32
+                ran = logged_for(frame_log, primary, STATE_CHANGING)
+                forwarded = logged_for(frame_log, replica, STATE_CHANGING)
+                assert len(ran) == len(forwarded) == info["seq"]
+                assert all(left is right for left, right in zip(ran, forwarded))
+                assert counts[primary, "snapshot"] == info["checkpoints"] >= 1
                 assert counts[replica, "snapshot"] == 0
-            assert max(info["seq"] for info in statistics) >= 64
             replica_pids = {pid for shard in group.shards for pid in shard.replica_pids()}
             reads_by_pid = {pid: n for (pid, op), n in counts.items() if op == "matches_of"}
             assert sum(reads_by_pid.values()) == len(reads)
             assert set(reads_by_pid) <= replica_pids
+
+
+# ----------------------------------------------------------------------
+# The size rule: replay and checkpoint cost stay bounded by the state
+# ----------------------------------------------------------------------
+class TestSizeTriggeredCheckpoints:
+    def test_tail_stays_lighter_than_the_snapshot(self, hard_timeout, frame_log):
+        """After every acknowledged op the tail weighs less than the blob,
+        so a replay covers at most one snapshot's worth of ops; and every
+        pulled blob but the last was paid for by at least as many bytes of
+        acknowledged frames (checkpoints cost amortised O(1) per op byte)."""
+        with replicated_group() as group:
+            group.register_all(patterns())
+            for update in interleaved_stream(120):
+                group.on_batch([update])
+                for info in group.replication_statistics():
+                    assert not info["degraded"]
+                    assert info["tail_bytes"] < info["snapshot_bytes"]
+            for shard, info in zip(group.shards, group.replication_statistics()):
+                pid = shard.worker_pid()
+                blobs = [len(blob) for blob in logged_for(frame_log, pid, ("blob",))]
+                frames = logged_for(frame_log, pid, STATE_CHANGING)
+                acknowledged = sum(len(frame) for frame in frames)
+                assert len(frames) == info["seq"]
+                assert len(blobs) == info["checkpoints"] >= 2
+                assert blobs[-1] == info["snapshot_bytes"]
+                assert sum(blobs[:-1]) <= acknowledged
+                assert 0 < info["ops_logged"] < info["seq"]
+
+    def test_respawn_replays_the_tail_after_the_last_checkpoint(self, hard_timeout):
+        updates = interleaved_stream(60)
+        oracle = NaiveEngine()
+        oracle.register_all(patterns())
+        with ShardedEngineGroup("TRIC+", 1, executor="process") as group:
+            group.register_all(patterns())
+            for batch in batches_of(updates, 3):
+                group.on_batch(batch)
+                oracle.on_batch(batch)
+            info = group.replication_statistics()[0]
+            assert info["ops_logged"] and info["checkpoints"] >= 2
+            group.shards[0].kill_worker()
+            suffix = [add("knows", "v0", "v1")]
+            group.on_batch(suffix)
+            oracle.on_batch(suffix)
+            assert_same_answers(group, oracle)
+            after = group.replication_statistics()[0]
+            assert after["respawns"] == 1
+            assert after["replayed_ops"] == info["ops_logged"]
+
+
+class TestRecoverySource:
+    @pytest.mark.parametrize("in_process", [False, True], ids=["process", "local"])
+    def test_worker_built_from_a_long_tail_reaches_the_sequence(
+        self, in_process, hard_timeout
+    ):
+        """A tail far longer than the forward window is replayed through
+        it: the new worker lands on the acknowledged sequence with the
+        primary's answers."""
+        source = RecoverySource("TRIC+", {})
+        primary = source.build(in_process=True)
+        ops = [("register", (pattern,)) for pattern in patterns()]
+        ops += [("batch", ([update],)) for update in interleaved_stream(120)]
+        for op, args in ops:
+            frame = encode_frame(op, args)
+            collect(primary.submit_frame(frame))
+            source.record(frame)
+        assert source.seq == len(ops) >= 100
+        worker = source.build(in_process=in_process)
+        try:
+            assert worker.applied_seq == source.seq
+            for pattern in patterns():
+                assert worker.call("matches_of", pattern.query_id) == primary.call(
+                    "matches_of", pattern.query_id
+                )
+        finally:
+            worker.shutdown(wait=True)
+
+    def test_a_failing_replayed_op_loses_the_worker(self, hard_timeout):
+        source = RecoverySource("TRIC+", {})
+        frame = encode_frame("register", (patterns()[1],))
+        source.record(frame)
+        source.record(frame)  # registering one id twice fails on replay
+        with pytest.raises(WorkerLost, match="after seq 1"):
+            source.build()

@@ -394,12 +394,12 @@ class TestShardExecutors:
             ShardedEngineGroup(TRICPlusEngine, 2, executor="process")
         # Callable factories stay fine on the in-process executor.
         ShardedEngineGroup(TRICPlusEngine, 2, executor="serial").close()
-        # The supervision knobs have no "off" value.
+        # The respawn window has no "off" value.
         with pytest.raises(EngineError, match="respawn_window"):
             ShardedEngineGroup("TRIC+", 2, respawn_window=None)
-        for cadence in (None, 0):
-            with pytest.raises(EngineError, match="worker_snapshot_every"):
-                ShardedEngineGroup("TRIC+", 2, worker_snapshot_every=cadence)
+        # Worker checkpoints follow the size rule alone: there is no cadence.
+        with pytest.raises(TypeError, match="worker_snapshot_every"):
+            ShardedEngineGroup("TRIC+", 2, worker_snapshot_every=32)
 
     def test_process_executor_honours_injective_engine_kwargs(self):
         """An explicit injective flag in engine_kwargs must reach process

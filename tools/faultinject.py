@@ -15,9 +15,10 @@ replication layers (`src/repro/persistence/`) recover from:
     Replay one seeded stream through a serial oracle group and a
     process-executor group with replicas side by side, SIGKILLing shard
     *primary* workers mid-stream.  The verdict proves the freshest
-    replica was promoted and every delivered ``MatchDelta`` frame stayed
-    byte-identical to the never-crashed oracle — zero missed, zero
-    duplicated.
+    replica was promoted (with ``--replicas 0``: every killed primary was
+    respawned from its shard's snapshot and op tail) and every delivered
+    ``MatchDelta`` frame stayed byte-identical to the never-crashed
+    oracle — zero missed, zero duplicated.
 
 ``kill-replica``
     Same side-by-side replay, but the SIGKILLs land on *replica*
@@ -424,7 +425,8 @@ def cmd_kill_primary(args) -> int:
     print(json.dumps(verdict, indent=2, sort_keys=True))
     recovered = (
         len(killed) >= 1
-        and promotions >= 1
+        # Without replicas there is nothing to promote: every kill respawns.
+        and (promotions >= 1 if args.replicas else respawns >= len(killed))
         and promotions + respawns >= len(killed)
         and not result["mismatched_ticks"]
         and result["answers_identical"]
