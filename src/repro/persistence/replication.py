@@ -35,7 +35,7 @@ from .workers import (
     encode_frame,
 )
 
-__all__ = ["PendingBatch", "ReplicaSet", "ShardSupervisor"]
+__all__ = ["ReplicaSet", "ShardSupervisor"]
 
 T = TypeVar("T")
 
@@ -272,11 +272,11 @@ class ShardSupervisor:
             except WorkerLost:
                 self._recover()
 
-    def _execute(self, op: str, *args):
-        return self._supervised(lambda primary: primary.call(op, *args))
-
     def _run(self, frame: bytes):
         return self._supervised(lambda primary: collect(primary.submit_frame(frame)))
+
+    def _execute(self, op: str, *args):
+        return self._run(encode_frame(op, args))
 
     def _checkpoint(self) -> None:
         self._supervised(self._source.checkpoint)

@@ -148,13 +148,13 @@ def _worker_main(conn, engine_name: str, engine_kwargs: Dict[str, object]) -> No
     """A worker process: build the engine, then answer command frames in order.
 
     A frame is an :func:`encode_frame` ``(op, args)`` pair; the reply is
-    ``(True, result)`` or ``(False, exception)``.  The worker exits on the exit frame ``None`` or
-    when the parent's end of the pipe is gone.  Workers ignore
-    SIGINT/SIGTERM: a terminal signal aimed at the serving process (or its
-    whole process group — a ^C) must not kill the shards out from under the
-    parent's graceful shutdown; the parent ends workers through the exit
-    frame (and supervised respawn / promotion handles any worker that dies
-    anyway).
+    ``(True, result)`` or ``(False, exception)``.  The worker exits on the
+    exit frame ``None`` or when the parent's end of the pipe is gone.
+    Workers ignore SIGINT/SIGTERM: a terminal signal aimed at the serving
+    process (or its whole process group — a ^C) must not kill the shards
+    out from under the parent's graceful shutdown; the parent ends workers
+    through the exit frame (and supervised respawn / promotion handles any
+    worker that dies anyway).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
@@ -445,10 +445,10 @@ class RecoverySource:
 
     The owner re-anchors the source (:meth:`checkpoint`) once the tail
     weighs as much as the blob (``tail_bytes >= snapshot_bytes``; a missing
-    blob weighs nothing): a replay is then bounded by
-    about one snapshot's worth of ops, and a snapshot of ``B`` bytes is
-    pulled only after ``B`` bytes of acknowledged ops, so checkpointing
-    costs amortised O(1) per op byte whatever the state's size.
+    blob weighs nothing): a replay is then bounded by about one snapshot's
+    worth of ops, and a snapshot of ``B`` bytes is pulled only after ``B``
+    bytes of acknowledged ops, so checkpointing costs amortised O(1) per
+    op byte whatever the state's size.
     """
 
     def __init__(

@@ -125,7 +125,9 @@ class ShardedEngineGroup(ContinuousEngine):
     max_respawns:
         Process executor only: worker deaths a shard survives via
         respawn + restore before degrading gracefully to in-process serial
-        execution.
+        execution.  A worker is rebuilt from its shard's recovery source: a
+        worker snapshot, re-taken whenever the ops acknowledged since it
+        weigh as many bytes as it does, plus those ops.
     replicas:
         Process executor only: replica workers per shard.  Replicas are
         built from the shard's recovery source, tail its acknowledged-ops
