@@ -68,7 +68,8 @@ SNAPSHOT_MAGIC = b"REPROSNAP"
 #: 5: a trie root's view is its key's base view (one shared relation, schema
 #: ``("p0", "p1")``) and the ``Trie`` wrapper is gone.
 #: 6: trie nodes lost their process-global ``node_id`` (a restored node's
-#: id could collide with a node registered after the restore).
+#: id could collide with a node registered after the restore), and a
+#: pickled process shard carries no ``snapshot_every``.
 SNAPSHOT_VERSION = 6
 
 #: Envelope header: magic, u16 version, u32 CRC32, u64 payload length.

@@ -521,8 +521,8 @@ class RecoverySource:
                 f"worker at seq {worker.applied_seq} predates the recovery "
                 f"snapshot at seq {self.snapshot_seq}"
             )
-        first = worker.applied_seq + 1
-        for seq, frame in enumerate(self.tail[first - 1 - self.snapshot_seq :], first):
+        start = worker.applied_seq - self.snapshot_seq
+        for seq, frame in enumerate(self.tail[start:], worker.applied_seq + 1):
             worker.forward(seq, frame)
             if not worker.ack():
                 break
