@@ -25,7 +25,7 @@ spots:
 ``label_selectivity``
     the fraction of the label alphabet queries draw from — low values
     concentrate every query on a few hot labels (worst case for
-    label-filtered shard fan-out and affected-query reports),
+    label-affinity shard assignment and affected-query reports),
 ``subscription_churn``
     probability per tick of a mid-stream subscribe/unsubscribe event
     (the broker's watch set never settles).

@@ -216,6 +216,10 @@ class ContinuousEngine(abc.ABC):
     def register(self, pattern: QueryGraphPattern) -> None:
         """Index one continuous query.
 
+        A query registered mid-stream answers over the graph as it stands:
+        ``matches_of`` sees every live edge, whichever queries were
+        registered when it arrived.  Registering notifies nothing.
+
         Raises
         ------
         DuplicateQueryError

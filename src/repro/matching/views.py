@@ -1,10 +1,18 @@
-"""Materialized base views of query edges.
+"""Materialized base views of query edges, over one store of live edges.
 
 Every distinct (generalised) query edge present in the query database owns a
 materialized view ``matV[e]`` holding all stream updates that satisfy it
-(paper Section 4.1, "Materialization").  The registry only materializes edges
-that occur in registered queries — the engines never index the full graph,
-which is exactly the behaviour the paper calls out in Section 3.2.
+(paper Section 4.1, "Materialization").  Views materialize only edges that
+occur in registered queries — the engines never index the full graph, which
+is exactly the behaviour the paper calls out in Section 3.2.
+
+The registry itself counts *every* live edge, matched or not, as plain
+``(source, target)`` string pairs per label: the multigraph multiplicities
+that decide when a tuple leaves its views, and what a key registered
+mid-stream fills its new view from.  A late query therefore answers over
+the graph as it stands, whichever queries were registered when its edges
+arrived; unmatched traffic costs one string count and never grows the
+vertex dictionary.
 """
 
 from __future__ import annotations
@@ -44,16 +52,20 @@ class EdgeViewRegistry:
         # label -> keys with that label; avoids probing all four candidate
         # generalisations when no registered key uses the label at all.
         self._keys_by_label: Dict[str, Set[EdgeKey]] = {}
-        # Multigraph support: number of live copies of each concrete edge that
-        # matches at least one registered key.  Views hold *distinct* tuples,
-        # so a tuple may only be retracted once every copy has been deleted.
-        self._multiplicity: Counter[Edge] = Counter()
+        # label -> (source, target) -> live copies, over every live edge.
+        # Views hold *distinct* tuples, so a tuple is only retracted once
+        # every copy has been deleted; a new key's view starts from here.
+        self._live: Dict[str, Counter[Tuple[str, str]]] = {}
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
     def register(self, key: EdgeKey) -> Relation:
-        """Ensure a view exists for ``key`` and return it."""
+        """Ensure a view exists for ``key`` and return it.
+
+        A new view starts from every live edge that satisfies ``key``, so a
+        key registered mid-stream is current at once.
+        """
         view = self._views.get(key)
         if view is None:
             view = Relation(EDGE_VIEW_SCHEMA)
@@ -63,6 +75,12 @@ class EdgeViewRegistry:
             view.ensure_index((1,))
             self._views[key] = view
             self._keys_by_label.setdefault(key.label, set()).add(key)
+            intern_pair = self.interner.intern_pair
+            view.add_all(
+                intern_pair(source, target)
+                for source, target in self._live.get(key.label, ())
+                if key.matches(Edge(key.label, source, target))
+            )
         return view
 
     def register_all(self, keys: Iterable[EdgeKey]) -> None:
@@ -102,7 +120,7 @@ class EdgeViewRegistry:
         return [key for key in candidate_keys_for_edge(edge) if key in self._views]
 
     def _apply_addition(self, edge: Edge) -> Tuple[List[Tuple[EdgeKey, bool]], Row | None]:
-        """Add ``edge`` to every view it satisfies.
+        """Count ``edge`` live and add it to every view it satisfies.
 
         Returns the ``(key, is_new)`` pairs of the affected views — ``is_new``
         is ``False`` when the tuple was already present (duplicate multigraph
@@ -110,10 +128,13 @@ class EdgeViewRegistry:
         only interned once the edge is known to match a registered key, so
         non-matching stream traffic never grows the vertex dictionary.
         """
+        copies = self._live.get(edge.label)
+        if copies is None:
+            copies = self._live[edge.label] = Counter()
+        copies[edge.source, edge.target] += 1
         keys = self.matching_keys(edge)
         if not keys:
             return [], None
-        self._multiplicity[edge] += 1
         results: List[Tuple[EdgeKey, bool]] = []
         row = self.interner.intern_pair(edge.source, edge.target)
         for key in keys:
@@ -126,17 +147,22 @@ class EdgeViewRegistry:
         interned row (``None`` if unmatched).
 
         With multigraph semantics the tuple only leaves the views once the
-        last remaining copy of the edge has been deleted.
+        last remaining copy of the edge has been deleted; deleting an edge
+        that is not live changes nothing.
         """
+        copies = self._live.get(edge.label)
+        pair = (edge.source, edge.target)
+        remaining = copies.get(pair, 0) if copies else 0
+        if remaining != 1:
+            if remaining:
+                copies[pair] = remaining - 1
+            return [], None
+        del copies[pair]
+        if not copies:
+            del self._live[edge.label]
         keys = self.matching_keys(edge)
         if not keys:
             return [], None
-        remaining = self._multiplicity.get(edge, 0)
-        if remaining > 1:
-            self._multiplicity[edge] = remaining - 1
-            return [], None
-        if remaining == 1:
-            del self._multiplicity[edge]
         affected: List[EdgeKey] = []
         row = self.interner.intern_pair(edge.source, edge.target)
         for key in keys:
@@ -145,8 +171,9 @@ class EdgeViewRegistry:
         return affected, row
 
     def multiplicity(self, edge: Edge) -> int:
-        """Number of live copies of ``edge`` known to the registry."""
-        return self._multiplicity.get(edge, 0)
+        """Number of live copies of ``edge``."""
+        copies = self._live.get(edge.label)
+        return copies.get((edge.source, edge.target), 0) if copies else 0
 
     # ------------------------------------------------------------------
     # Micro-batch maintenance

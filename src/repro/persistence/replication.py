@@ -476,9 +476,6 @@ class ShardSupervisor:
         self._mutate("register", pattern)
         self._query_ids.append(pattern.query_id)
 
-    def backfill(self, updates: Sequence[Update]) -> None:
-        self._mutate("backfill", list(updates))
-
     def _read(self, op: str, *args):
         """Serve a read from a replica when one can, else from the primary."""
         served, result = self._replicas.read(op, args)

@@ -70,7 +70,9 @@ SNAPSHOT_MAGIC = b"REPROSNAP"
 #: 6: trie nodes lost their process-global ``node_id`` (a restored node's
 #: id could collide with a node registered after the restore), and a
 #: pickled process shard carries no ``snapshot_every``.
-SNAPSHOT_VERSION = 6
+#: 7: the view registry counts every live edge per label (``_live``, in
+#: place of ``_multiplicity``), and sharded groups keep no edge history.
+SNAPSHOT_VERSION = 7
 
 #: Envelope header: magic, u16 version, u32 CRC32, u64 payload length.
 _HEADER = struct.Struct(">%dsHIQ" % len(SNAPSHOT_MAGIC))

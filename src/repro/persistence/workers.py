@@ -14,8 +14,9 @@ serves what, and what happens on a loss, is policy and lives in
 :mod:`repro.persistence.replication`.
 
 A command travels as a *frame*: the pickled ``(op, args)`` pair
-(:func:`encode_frame`).  A state-changing op is encoded once, and those
-same bytes go to the primary, to every replica and into the recovery tail.
+(:func:`encode_frame`).  A state-changing op (``register`` or ``batch``) is
+encoded once, and those same bytes go to the primary, to every replica and
+into the recovery tail.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "collect",
     "encode_frame",
     "run_batch",
-    "silent_backfill",
 ]
 
 #: Exceptions that mean "the worker's pipe is gone" — EOF or a reset on
@@ -73,20 +73,6 @@ class WorkerLost(Exception):
     to the acknowledged sequence.  Never escapes the supervision layer."""
 
 
-def silent_backfill(engine: ContinuousEngine, updates: Sequence[Update]) -> None:
-    """Replay ``updates`` into ``engine`` without touching its satisfied-set.
-
-    Registration backfill must not mark queries satisfied (a query only
-    enters the satisfied-set through a later notification), exactly like
-    the engines' own registration-time view recomputation.  Used by the
-    in-process shards and by the shard workers, primary and replica alike.
-    """
-    satisfied_before = engine.satisfied_queries()
-    engine.on_batch(updates)
-    engine._satisfied.clear()
-    engine._satisfied.update(satisfied_before)
-
-
 def run_batch(
     engine: ContinuousEngine, updates: Sequence[Update]
 ) -> Tuple[BatchReport, FrozenSet[str], float]:
@@ -103,8 +89,11 @@ def run_batch(
 class ShardHost:
     """One shard engine and the dispatcher of its command frames.
 
-    The framing is deliberately narrow: operands are the repository's
-    picklable value types (:class:`~repro.graph.elements.Update`,
+    The ops: ``register`` and ``batch`` change the engine's state (the
+    only frames replicas and the recovery tail carry); ``matches_of``,
+    ``has_matches`` and ``describe`` read it.  The framing is deliberately
+    narrow: operands are the repository's picklable value types
+    (:class:`~repro.graph.elements.Update`,
     :class:`~repro.query.pattern.QueryGraphPattern`, query-id strings,
     snapshot blobs) and replies are plain data (a
     :class:`~repro.core.engine.BatchReport` with its satisfied-set and
@@ -126,9 +115,6 @@ class ShardHost:
             return run_batch(engine, args[0])
         if op == "register":
             engine.register(args[0])
-            return None
-        if op == "backfill":
-            silent_backfill(engine, args[0])
             return None
         if op == "matches_of":
             return engine.matches_of(args[0])

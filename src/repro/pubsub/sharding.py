@@ -13,10 +13,8 @@ treat it exactly like a single engine:
   (stable CRC of the query id) balances blindly; ``label`` assignment
   routes a query to the shard already owning most of its edge labels,
   which clusters structurally related queries (maximising trie sharing
-  inside each shard) and narrows the fan-out below,
-* stream updates fan out only to the shards whose queries use the edge's
-  label (an engine without the label ignores the update anyway — the
-  group skips even handing it over), executed by a pluggable *executor*:
+  inside each shard),
+* every shard receives every batch, executed by a pluggable *executor*:
   ``serial`` (in-process loop, the default) or ``process`` (each shard
   lives in its own supervised worker process — a
   :class:`~repro.persistence.replication.ShardSupervisor` — and receives
@@ -29,17 +27,12 @@ treat it exactly like a single engine:
   :meth:`describe` / :meth:`shard_statistics` expose per-shard metrics
   including the executor mode and per-shard batch latency.
 
-Because every query lives in exactly one shard — and a shard that *gains*
-an edge label through a mid-stream registration is backfilled from the
-group's live-edge history (recorded under the same key-matching retention
-rule the unsharded registry applies) — the group's answers are
-byte-identical to an unsharded engine's for any shard count *and any
-executor*, whether queries are registered up front or while the stream is
-running.  The one deliberate divergence: a pattern whose *literal-endpoint*
-key is first registered after matching edges arrived reads those edges from
-the backfill on a fresh shard, where a single engine's new (empty) view
-would have dropped them — the group errs toward the oracle's semantics
-there.
+Because every query lives in exactly one shard, and every shard's engine
+has seen the whole stream (its view registry counts every live edge, so a
+query registered mid-stream starts from the graph as it stands), the
+group's answers are byte-identical to an unsharded engine's for any shard
+count *and any executor*, whether queries are registered up front or while
+the stream is running.
 
 A group with ``executor="process"`` holds OS resources; call :meth:`close`
 (or use the group as a context manager) when done.  Everything about those
@@ -52,16 +45,14 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from collections import Counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.engine import BatchReport, ContinuousEngine, MaintainedAnswerSource, kind_runs
+from ..core.engine import BatchReport, ContinuousEngine, MaintainedAnswerSource
 from ..graph.elements import Edge, Update, UpdateKind
 from ..graph.errors import EngineError, PersistenceError
 from ..persistence.replication import ShardSupervisor
-from ..persistence.workers import run_batch, silent_backfill
+from ..persistence.workers import run_batch
 from ..query.pattern import QueryGraphPattern
-from ..query.terms import EdgeKey, candidate_keys_for_edge
 
 __all__ = ["ShardedEngineGroup", "SHARD_EXECUTORS"]
 
@@ -112,7 +103,7 @@ class ShardedEngineGroup(ContinuousEngine):
         ``"hash"`` (stable id hash, blind balance) or ``"label"``
         (label-affinity routing, clusters queries sharing edge labels).
     executor:
-        How a batch fans out to the relevant shards: ``"serial"`` (one
+        How a batch fans out to the shards: ``"serial"`` (one
         shard after another in-process — zero overhead, the default) or
         ``"process"`` (each shard is a separate worker process driven over
         picklable command frames — true parallelism at the cost of IPC per
@@ -201,7 +192,7 @@ class ShardedEngineGroup(ContinuousEngine):
         self._shard_satisfied: List[FrozenSet[str]] = [
             frozenset() for _ in self.shards
         ]
-        #: per-shard edge labels in use (the fan-out filter).
+        #: per-shard edge labels in use (what label assignment clusters on).
         self._shard_labels: List[Set[str]] = [set() for _ in self.shards]
         #: per-shard fan-out metrics: batches executed and engine seconds
         #: spent (compute time inside the shard, IPC excluded for process
@@ -211,20 +202,6 @@ class ShardedEngineGroup(ContinuousEngine):
         #: affected-set accounting across fan-outs (mean size per batch).
         self._fan_outs = 0
         self._affected_reported = 0
-        #: label -> live multigraph edges carrying it (multiplicity-counted).
-        #: This is what lets a shard that *gains* a label through a
-        #: mid-stream registration be backfilled with the edges it never
-        #: received — the sharded group's analogue of the engines'
-        #: ``_backfill_chain`` — keeping its answers byte-identical to an
-        #: unsharded engine's whenever queries are registered.  History
-        #: mirrors the unsharded registry's retention rule: an edge is
-        #: recorded only when a *registered* generalised key (anywhere in
-        #: the group) matches it at arrival, so a late registration sees
-        #: exactly what one engine indexing the whole query database would
-        #: have retained.
-        self._live_edges: Dict[str, Counter] = {}
-        #: every generalised key registered by any query in the group.
-        self._global_keys: Set[EdgeKey] = set()
 
     @property
     def num_shards(self) -> int:
@@ -337,7 +314,9 @@ class ShardedEngineGroup(ContinuousEngine):
             return zlib.crc32(pattern.query_id.encode("utf-8")) % len(self.shards)
         # Label affinity: the shard already owning most of the pattern's
         # labels wins; ties break to the least-loaded (then lowest) shard,
-        # which is also where a pattern of entirely new labels lands.
+        # which is also where a pattern of entirely new labels lands.  This
+        # clusters queries for trie sharing; it does not narrow the fan-out
+        # (every shard receives every batch).
         # Affinity alone degenerates on small label alphabets (every query
         # shares labels with shard 0, so everything piles up there), so a
         # shard more than ~2x ahead of the lightest shard stops attracting
@@ -358,85 +337,24 @@ class ShardedEngineGroup(ContinuousEngine):
 
     def _index_query(self, pattern: QueryGraphPattern) -> None:
         index = self._assign(pattern)
-        shard = self.shards[index]
-        new_labels = pattern.edge_labels() - self._shard_labels[index]
-        shard.register(pattern)
+        self.shards[index].register(pattern)
         self._owner[pattern.query_id] = index
         self._shard_queries[index].add(pattern.query_id)
         self._shard_labels[index].update(pattern.edge_labels())
-        self._global_keys.update(edge.key for edge in pattern.edges)
-        self._backfill_shard(shard, new_labels)
-
-    def _backfill_shard(self, shard: ContinuousEngine, new_labels: Set[str]) -> None:
-        """Feed a shard the live edges of labels it just started owning.
-
-        A mid-stream registration must leave the owning shard consistent
-        with the whole stream consumed so far, exactly like registering on
-        an unsharded engine: edges of labels the shard already owned were
-        delivered in real time (the engine's own backfill covers those);
-        edges of freshly gained labels were filtered out by the fan-out and
-        are replayed here, one copy per live multigraph multiplicity.  The
-        replay is *silent*
-        (:func:`~repro.persistence.workers.silent_backfill`, executed
-        inside the worker for a process shard).
-        """
-        backfill = [
-            Update(Edge(label, source, target))
-            for label in sorted(new_labels)
-            for (source, target), multiplicity in sorted(
-                self._live_edges.get(label, Counter()).items()
-            )
-            for _ in range(multiplicity)
-        ]
-        if not backfill:
-            return
-        if self.executor == "process":
-            shard.backfill(backfill)
-        else:
-            silent_backfill(shard, backfill)
-
-    def _record_history(self, edges: Sequence[Edge], kind: UpdateKind) -> None:
-        live = self._live_edges
-        if kind is UpdateKind.ADD:
-            global_keys = self._global_keys
-            for edge in edges:
-                # Retention mirrors EdgeViewRegistry: an edge nobody's
-                # registered keys match is dropped, exactly as a single
-                # engine indexing every query would drop it.
-                if not any(key in global_keys for key in candidate_keys_for_edge(edge)):
-                    continue
-                bucket = live.get(edge.label)
-                if bucket is None:
-                    bucket = live[edge.label] = Counter()
-                bucket[(edge.source, edge.target)] += 1
-        else:
-            for edge in edges:
-                bucket = live.get(edge.label)
-                if bucket is None:
-                    continue
-                key: Tuple[str, str] = (edge.source, edge.target)
-                remaining = bucket.get(key, 0)
-                if remaining <= 1:
-                    bucket.pop(key, None)
-                    if not bucket:
-                        del live[edge.label]
-                else:
-                    bucket[key] = remaining - 1
 
     # ------------------------------------------------------------------
     # Stream fan-out
     # ------------------------------------------------------------------
     def on_batch(self, updates: Sequence[Update]) -> BatchReport:
-        """Process a micro-batch with *one* shard call per relevant shard.
+        """Process a micro-batch with *one* call per shard.
 
         The base class splits a batch into per-kind runs and would fan each
         run out separately — on an interleaved add/delete stream that turns
         one micro-batch into hundreds of per-shard calls, which is pure
         IPC for the process executor.  The group instead hands every shard
-        its full label-relevant *subsequence* of the batch (order and
-        interleaving preserved) in a single call; the shard's own
-        ``on_batch`` does the run splitting locally, with identical answer
-        semantics.
+        the whole batch (order and interleaving preserved) in a single
+        call; the shard's own ``on_batch`` does the run splitting locally,
+        with identical answer semantics.
         """
         updates = list(updates)
         if not updates:
@@ -445,36 +363,21 @@ class ShardedEngineGroup(ContinuousEngine):
         return self._fan_out_updates(updates)
 
     def _fan_out_updates(self, updates: Sequence[Update]) -> BatchReport:
-        """Hand each shard its label-relevant subsequence, concurrently
-        where the executor allows, and merge the per-shard reports.
+        """Hand every shard the whole batch, concurrently where the
+        executor allows, and merge the per-shard reports.
 
         The merge is deterministic for every executor: per-shard results
         are collected in shard order and combine through set unions, so the
-        outcome does not depend on completion order.  A shard that received
-        no relevant update contributes nothing — its queries provably kept
-        their answers, which keeps the merged ``affected`` set narrow.
-        Each reply piggybacks the shard's satisfied-set, from which the
-        group's own satisfied-set is rebuilt (exact: every query is owned
-        by exactly one shard).
+        outcome does not depend on completion order.  Each reply
+        piggybacks the shard's satisfied-set, from which the group's own
+        satisfied-set is rebuilt (exact: every query is owned by exactly
+        one shard).
         """
-        # Record history in stream order, one run of each kind at a time.
-        additions = deletions = 0
-        for kind, run in kind_runs(updates):
-            self._record_history(run, kind)
-            if kind is UpdateKind.ADD:
-                additions += len(run)
-            else:
-                deletions += len(run)
-        jobs: List[Tuple[int, List[Update]]] = []
-        for index, labels in enumerate(self._shard_labels):
-            relevant = [update for update in updates if update.edge.label in labels]
-            if relevant:
-                jobs.append((index, relevant))
-        if not jobs:
-            return BatchReport(affected=())
-        results = self._run_jobs(jobs)
+        additions = sum(update.kind is UpdateKind.ADD for update in updates)
+        deletions = len(updates) - additions
+        results = self._run_batches(updates)
         reports: List[BatchReport] = []
-        for (index, _), (report, satisfied, seconds) in zip(jobs, results):
+        for index, (report, satisfied, seconds) in enumerate(results):
             self._shard_batches[index] += 1
             self._shard_batch_seconds[index] += seconds
             self._shard_satisfied[index] = frozenset(satisfied)
@@ -489,27 +392,26 @@ class ShardedEngineGroup(ContinuousEngine):
         merged = BatchReport.merge(reports)
         self._fan_outs += 1
         self._affected_reported += len(merged.affected or ())
-        # Re-stamp counters with the group-level update counts (a shard's
-        # own counters would double-count edges relevant to several shards).
+        # Re-stamp counters with the group-level update counts (each shard
+        # counted the whole batch).
         return BatchReport(
             merged, affected=merged.affected, additions=additions, deletions=deletions
         )
 
-    def _run_jobs(
-        self, jobs: Sequence[Tuple[int, List[Update]]]
+    def _run_batches(
+        self, updates: Sequence[Update]
     ) -> List[Tuple[BatchReport, FrozenSet[str], float]]:
-        """Execute per-shard batch jobs under the configured executor."""
+        """Run ``updates`` on every shard under the configured executor."""
         if self.executor == "process":
             # Start every worker first, then collect: the shards overlap.
             # Collection goes through each shard's finish_batch, which is
             # where worker death is detected and supervised recovery (and
             # the exactly-once re-run of the in-flight batch) happens.
-            pending = [self.shards[index].start_batch(updates) for index, updates in jobs]
+            pending = [shard.start_batch(updates) for shard in self.shards]
             return [
-                self.shards[index].finish_batch(batch)
-                for (index, _), batch in zip(jobs, pending)
+                shard.finish_batch(batch) for shard, batch in zip(self.shards, pending)
             ]
-        return [run_batch(self.shards[index], updates) for index, updates in jobs]
+        return [run_batch(shard, updates) for shard in self.shards]
 
     def _on_addition_batch(self, edges: Sequence[Edge]) -> BatchReport:
         return self._fan_out_updates([Update(edge, UpdateKind.ADD) for edge in edges])

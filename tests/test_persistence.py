@@ -162,16 +162,17 @@ class TestSnapshotEnvelope:
         with pytest.raises(SnapshotCorruptError):
             decode_snapshot(tampered)
 
-    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6])
     def test_older_envelope_versions_are_refused_with_a_typed_error(self, old):
         """Format 2 dropped the per-query binding copies and the unread
         delta logs, format 3 moved the pickled process shard and dropped
         the group's thread pool, format 4 dropped relation versions,
-        format 5 made each trie root share its key's base view, and format
-        6 dropped the trie nodes' ids; an older payload would unpickle into
-        classes or attributes the code no longer has, so it is refused at
-        the envelope, not deserialised."""
-        assert SNAPSHOT_VERSION == 6
+        format 5 made each trie root share its key's base view, format 6
+        dropped the trie nodes' ids, and format 7 made the view registry
+        count every live edge and dropped the sharded group's edge history;
+        an older payload would unpickle into classes or attributes the code
+        no longer has, so it is refused at the envelope, not deserialised."""
+        assert SNAPSHOT_VERSION == 7
         blob = encode_snapshot("payload")
         stale = blob[:9] + old.to_bytes(2, "big") + blob[11:]  # valid CRC, old version
         assert len(stale) == len(blob)  # header size unchanged

@@ -647,7 +647,8 @@ class TestComposedFaults:
     def test_every_recovery_path_in_one_stream(self, hard_timeout):
         """Mid-stream registration, primary and replica kills, a rolling
         restart, a whole-group snapshot/restore swap and degradation,
-        interleaved in one run beside a never-faulted serial oracle."""
+        interleaved in one run beside a never-faulted serial group and the
+        Naive oracle."""
         signal.alarm(10)  # tighter than the fixture: this must stay quick
         registered = patterns() + [
             QueryBuilder("spoke").edge("follows", "?x", "?y").build()
@@ -661,23 +662,31 @@ class TestComposedFaults:
         )
         oracle = ShardedEngineGroup("TRIC+", 2, executor="serial")
         oracle.register_all(registered)
+        naive = NaiveEngine()
+        naive.register_all(registered)
         broker_o = SubscriptionBroker(oracle)
         sub_o = broker_o.subscribe("probe", [p.query_id for p in registered])
         handle = _Swappable(replicated_group(max_respawns=1))
         try:
             handle.register_all(registered)
-            # Shard 1 owns only "knows": both late queries make it *gain* a
-            # label, so each registration backfills from the group history.
+            # Shard 1 owns only "knows": both late queries bring it labels
+            # none of its queries used, whose edges its registry has counted
+            # all along (every shard receives every batch).
             assert [handle.shard_of(p.query_id) for p in registered] == [0, 1, 0, 0]
             broker_g = SubscriptionBroker(handle)
             sub_g = broker_g.subscribe("probe", [p.query_id for p in registered])
 
             def register_late(pattern):
                 registered.append(pattern)
+                naive.register(pattern)
                 for engine, broker in ((oracle, broker_o), (handle, broker_g)):
                     engine.register(pattern)
                     broker.subscribe_queries("probe", [pattern.query_id])
                 assert handle.shard_of(pattern.query_id) == 1
+                # A late query starts from the graph as it stands.
+                assert handle.matches_of(pattern.query_id) == naive.matches_of(
+                    pattern.query_id
+                )
 
             def kill_shard_1_outright():
                 handle.shards[1].kill_replica()
@@ -696,7 +705,7 @@ class TestComposedFaults:
                 10: swap_through_snapshot,
                 12: kill_shard_1_outright,  # nothing to promote: respawn
                 14: kill_shard_1_outright,  # budget spent: degrade
-                16: lambda: register_late(late_follows),  # backfill, degraded
+                16: lambda: register_late(late_follows),  # on the degraded shard
                 18: lambda: handle.rolling_restart(),
             }
             for index, batch in enumerate(batches_of(three_label_stream(), 5)):
@@ -705,11 +714,15 @@ class TestComposedFaults:
                 steps.get(index, lambda: None)()
                 broker_o.on_batch(batch)
                 broker_g.on_batch(batch)
+                naive.on_batch(batch)
                 assert frames_of(sub_o) == frames_of(sub_g), index
                 for pattern in registered:
-                    assert handle.matches_of(pattern.query_id) == oracle.matches_of(
-                        pattern.query_id
-                    ), (index, pattern.query_id)
+                    expected = naive.matches_of(pattern.query_id)
+                    assert handle.matches_of(pattern.query_id) == expected, (
+                        index,
+                        pattern.query_id,
+                    )
+                    assert oracle.matches_of(pattern.query_id) == expected
                 assert handle.satisfied_queries() == oracle.satisfied_queries()
             assert index >= 18
             assert before_swap[0]["promotions"] == 1
@@ -727,7 +740,7 @@ class TestComposedFaults:
 # One way to build a worker: what crosses the command channel
 # ----------------------------------------------------------------------
 #: The ops that change a worker's state (recorded, forwarded, replayed).
-STATE_CHANGING = ("register", "backfill", "batch")
+STATE_CHANGING = ("register", "batch")
 
 
 @pytest.fixture

@@ -69,12 +69,46 @@ class TestStreamMaintenance:
         assert registry.multiplicity(Edge("posted", "p1", "pst1")) == 2
         assert registry.total_rows() == 1
 
-    def test_non_matching_addition_is_ignored(self):
+    def test_non_matching_addition_is_counted_but_not_materialised(self):
         registry = EdgeViewRegistry()
         registry.register(EdgeKey("posted", ANY, ANY))
+        live_ids = registry.interner.stats()["live_ids"]
         assert registry.apply_additions([Edge("likes", "p1", "pst1")]) == {}
-        assert registry.multiplicity(Edge("likes", "p1", "pst1")) == 0
+        # The live-edge store counts it; no view holds it and no vertex
+        # was interned for it.
+        assert registry.multiplicity(Edge("likes", "p1", "pst1")) == 1
         assert registry.total_rows() == 0
+        assert registry.interner.stats()["live_ids"] == live_ids
+
+    def test_a_key_registered_late_starts_from_every_live_edge_it_matches(self):
+        registry = EdgeViewRegistry()
+        registry.register(EdgeKey("posted", ANY, ANY))
+        edges = [
+            Edge("likes", "p1", "pst1"),
+            Edge("likes", "p1", "pst1"),  # multigraph copy
+            Edge("likes", "p2", "pst1"),
+            Edge("likes", "p1", "pst2"),
+            Edge("posted", "p1", "pst1"),
+        ]
+        registry.apply_additions(edges)
+        decode = registry.interner.decode_row
+        every = registry.register(EdgeKey("likes", ANY, ANY))
+        assert {decode(row) for row in every} == {
+            ("p1", "pst1"), ("p2", "pst1"), ("p1", "pst2")
+        }
+        literal = registry.register(EdgeKey("likes", "p1", ANY))
+        assert {decode(row) for row in literal} == {("p1", "pst1"), ("p1", "pst2")}
+        # The views' maintained indexes cover the rows they started from.
+        assert literal.probe((1,), (registry.interner.lookup("pst2"),)) == {
+            (registry.interner.lookup("p1"), registry.interner.lookup("pst2"))
+        }
+        # The starting rows honour the counted copies: one deletion of the
+        # doubled edge keeps its tuple, the second retracts it.
+        edge = Edge("likes", "p1", "pst1")
+        assert registry.apply_deletions([edge]) == {}
+        removed = registry.apply_deletions([edge])
+        assert set(removed) == {EdgeKey("likes", ANY, ANY), EdgeKey("likes", "p1", ANY)}
+        assert registry.multiplicity(edge) == 0
 
     def test_deletion_removes_tuple_only_when_last_copy_goes(self):
         registry = EdgeViewRegistry()
